@@ -20,7 +20,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fthresholds.exact import format_rational, parse_rational
+from fthresholds.exact import format_rational, parse_primes, parse_rational
 from fthresholds.experiment import convergence_report, emit, sweep
 from fthresholds.reduction import IntegerIdeal
 
@@ -36,15 +36,6 @@ class SweepConfig:
     out_dir: Path = Path("results")
 
 
-def parse_primes(text: str) -> list[int]:
-    from fthresholds.exact import is_prime
-
-    if ".." in text:
-        lo, hi = (int(s) for s in text.split("..", 1))
-        return [p for p in range(max(2, lo), hi + 1) if is_prime(p)]
-    return [int(s) for s in text.split(",")]
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -57,11 +48,15 @@ def main() -> int:
     parser.add_argument("--jobs", type=int, default=cfg.jobs)
     parser.add_argument("--out-dir", type=Path, default=cfg.out_dir)
     args = parser.parse_args()
+    try:
+        primes = parse_primes(args.primes)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     ideal = IntegerIdeal.from_strings(args.gens, args.n)
     target = parse_rational(args.target) if args.target else None
     issues = []
-    records = sweep(ideal, parse_primes(args.primes), args.qmax,
+    records = sweep(ideal, primes, args.qmax,
                     jobs=args.jobs, issues=issues)
     for issue in issues:
         print(f"warning: p={issue.p} skipped ({issue.kind})", file=sys.stderr)

@@ -4,7 +4,7 @@ thresholds and multiplier ideals of monomial ideals via exact linear
 programming, with a prime-sweep experiment harness."""
 
 from .exact import PrimePower, format_rational, parse_rational, prime_power, rational
-from .gfpoly import GFPoly, poly_add, poly_mul, poly_pow_truncated
+from .gfpoly import GFPoly, poly_pow_truncated
 from .groebner import (
     Ideal,
     MonomialIdeal,
@@ -48,7 +48,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PrimePower", "format_rational", "parse_rational", "prime_power", "rational",
-    "GFPoly", "poly_add", "poly_mul", "poly_pow_truncated",
+    "GFPoly", "poly_pow_truncated",
     "Ideal", "MonomialIdeal", "buchberger", "ideal_equal", "ideal_member", "normal_form",
     "FptEnclosure", "NuValue", "TestIdealResult", "bracket_power", "fpt_enclosure",
     "fpt_point", "frobenius_root", "frobenius_root_principal_power", "is_unit_ideal",

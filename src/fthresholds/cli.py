@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from .errors import CapacityError, DomainError, InvariantViolation, ParseError
-from .exact import format_rational, is_prime, parse_rational
+from .exact import format_rational, parse_primes, parse_rational
 from .frobenius import (
     fpt_enclosure,
     fpt_point,
@@ -38,20 +38,6 @@ def _split_gens(text: str) -> list[str]:
     if not parts:
         raise DomainError("--gens must list at least one polynomial")
     return parts
-
-
-def _parse_primes(text: str) -> list[int]:
-    """Either "a..b" (all primes in the range) or a comma list "5,7,11"."""
-    text = text.strip()
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
-    primes = [int(s) for s in text.split(",") if s.strip()]
-    for p in primes:
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
-    return primes
 
 
 def _monomial_ideal_from_args(args) -> MonomialIdeal:
@@ -141,7 +127,7 @@ def _cmd_sweep(args) -> int:
     ideal = IntegerIdeal.from_strings(_split_gens(args.gens), args.n)
     if not ideal.vanishes_at_origin():
         raise DomainError("sweep generators must vanish at the origin")
-    primes = _parse_primes(args.primes)
+    primes = parse_primes(args.primes)
     target = parse_rational(args.target) if args.target else None
     issues: list[SweepIssue] = []
     records = sweep(ideal, primes, args.qmax, jobs=args.jobs, issues=issues)
@@ -184,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact positive-characteristic singularity invariants and "
                     "log canonical thresholds of monomial ideals.",
     )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized utilities (reserved; default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_ring_flags(p, with_e=True):

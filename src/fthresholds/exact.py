@@ -39,6 +39,20 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def parse_primes(text: str) -> list[int]:
+    """Either "a..b" (all primes in the range) or a comma list "5,7,11"."""
+    text = text.strip()
+    if ".." in text:
+        lo_s, hi_s = text.split("..", 1)
+        lo, hi = int(lo_s), int(hi_s)
+        return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
+    primes = [int(s) for s in text.split(",") if s.strip()]
+    for p in primes:
+        if not is_prime(p):
+            raise DomainError(f"{p} is not prime")
+    return primes
+
+
 def rational(num: int, den: int = 1) -> Fraction:
     """Reduced fraction with positive denominator.
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import CapacityError, DomainError, InvariantViolation
 from .exact import PrimePower, farey_below, prime_power, simplest_between
-from .gfpoly import GFPoly, drl_key
+from .gfpoly import GFPoly, drl_key, echelonize, truncated_power_degrees
 from .groebner import Ideal, MonomialIdeal, ideal_equal
 
 DEFAULT_DP_CAP = 200_000
@@ -71,29 +71,11 @@ class TestIdealResult:
     stabilized: bool
 
 
-def _frob_power(g: GFPoly, qv: int) -> GFPoly:
-    # (sum c x^a)^q = sum c x^(q a) over F_p: Frobenius fixes coefficients.
-    return GFPoly.make(g.n, g.p, [(tuple(e * qv for e in m), c) for m, c in g.terms.items()])
-
-
 def bracket_power(I: Ideal, q: PrimePower) -> Ideal:
     """The ideal generated by g^q over the generators g of I."""
     if I.p != q.p:
         raise DomainError(f"ambient characteristic {I.p} does not match q = {q}")
-    return Ideal([_frob_power(g, q.q) for g in I.gens], n=I.n, p=I.p)
-
-
-def _root_buckets(g: GFPoly, qv: int) -> list[GFPoly]:
-    """Split g = sum_gamma (g_gamma)^q * x^gamma; return the nonzero g_gamma."""
-    buckets: dict = {}
-    for m, c in g.terms.items():
-        beta = tuple(e // qv for e in m)
-        gamma = tuple(e % qv for e in m)
-        buckets.setdefault(gamma, {})[beta] = c
-    out = []
-    for gamma in sorted(buckets, key=drl_key):
-        out.append(GFPoly(g.n, g.p, buckets[gamma]))
-    return out
+    return Ideal([g.frobenius_power(q.q) for g in I.gens], n=I.n, p=I.p)
 
 
 def frobenius_root(b: Ideal, q: PrimePower) -> Ideal:
@@ -103,7 +85,7 @@ def frobenius_root(b: Ideal, q: PrimePower) -> Ideal:
     gens: list[GFPoly] = []
     seen = set()
     for g in b.gens:
-        for piece in _root_buckets(g, q.q):
+        for piece in g.root_pieces(q.q):
             if piece not in seen:
                 seen.add(piece)
                 gens.append(piece)
@@ -114,47 +96,12 @@ def _poly_sort_key(g: GFPoly):
     return tuple(g.sorted_terms())
 
 
-def _linear_reduce(polys: list[GFPoly], n: int, p: int) -> list[GFPoly]:
-    """Echelonize a generating set over F_p (same ideal, bounded count).
-
-    Rows are combined linearly only, so the span (hence the ideal) is
-    unchanged while the number of generators drops to at most the dimension
-    of the ambient coefficient space.
-    """
-    rows = sorted(
-        {g for g in polys if not g.is_zero},
-        key=lambda g: (drl_key(g.lead_monomial()), _poly_sort_key(g)),
-        reverse=True,
-    )
-    pivots: dict = {}
-    for g in rows:
-        work = dict(g.terms)
-        while work:
-            m = max(work, key=drl_key)
-            piv = pivots.get(m)
-            if piv is None:
-                inv = pow(work[m], -1, p)
-                pivots[m] = {mm: (cc * inv) % p for mm, cc in work.items()}
-                break
-            c = work[m]
-            for mm, cc in piv.items():
-                v = (work.get(mm, 0) - c * cc) % p
-                if v:
-                    work[mm] = v
-                elif mm in work:
-                    del work[mm]
-    return [
-        GFPoly(n, p, dict(pivots[m]))
-        for m in sorted(pivots, key=drl_key, reverse=True)
-    ]
-
-
 def _root_step(polys: list[GFPoly], n: int, p: int) -> list[GFPoly]:
     """One-level Frobenius root of the ideal generated by `polys`, echelonized."""
     pieces: list[GFPoly] = []
     for g in polys:
-        pieces.extend(_root_buckets(g, p))
-    return _linear_reduce(pieces, n, p)
+        pieces.extend(g.root_pieces(p))
+    return echelonize(pieces, n, p)
 
 
 def _principal_digit_root(fpowers: list[GFPoly], N: int, e: int) -> tuple[list[GFPoly], int]:
@@ -258,31 +205,12 @@ def _nu_mixed(f: GFPoly, d: int, qv: int, term_cap: int) -> int:
     d*j <= n(q-1) - |c|.  So for each i only the minimal total degree among
     surviving terms of f^i matters.
     """
-    p, n = f.p, f.n
-    limit = n * (qv - 1)
-    fterms = list(f.terms.items())
+    limit = f.n * (qv - 1)
     best = limit // d  # i = 0: the empty f-part
-    cur = {(0,) * n: 1}
-    i = 0
-    while cur:
-        i += 1
-        nxt: dict = {}
-        for m, c in cur.items():
-            for fm, fc in fterms:
-                mm = tuple(a + b for a, b in zip(m, fm))
-                if any(x >= qv for x in mm):
-                    continue
-                v = (nxt.get(mm, 0) + c * fc) % p
-                if v:
-                    nxt[mm] = v
-                elif mm in nxt:
-                    del nxt[mm]
-        if len(nxt) > term_cap:
+    for i, (size, mindeg) in enumerate(truncated_power_degrees(f, qv), start=1):
+        if size > term_cap:
             raise CapacityError(f"term-set cap of {term_cap} exceeded in mixed nu")
-        cur = nxt
-        if cur:
-            mindeg = min(sum(m) for m in cur)
-            best = max(best, i + (limit - mindeg) // d)
+        best = max(best, i + (limit - mindeg) // d)
     return best
 
 

@@ -1,14 +1,45 @@
 """Sparse multivariate polynomials over prime fields F_p.
 
-A polynomial is a map from exponent tuples to coefficients, with coefficients
-kept as canonical residues in [0, p) and zero coefficients never stored.
-Monomial comparisons use degrevlex throughout, so printed output and every
-tie-break in the package are deterministic.
+A polynomial is a map from monomials to coefficients, with coefficients kept
+as canonical residues in [0, p) and zero coefficients never stored.  Monomial
+comparisons use degrevlex throughout, so printed output and every tie-break in
+the package are deterministic.
+
+Packed monomials.  Inside this module a monomial x^e of F_p[x_1..x_n] is one
+Python int (Monagan-Pearce packed exponent vectors).  Field i, counting from
+the low end, holds the prefix sum S_i = e_1 + ... + e_i; the top field holds
+S_n, the total degree.  So:
+
+  * integer order is exactly degrevlex: compare S_n, then S_(n-1) = deg - e_n,
+    and so on;
+  * the fields are linear in the exponents, so a monomial product is one
+    integer add, a shift one subtract and a q-th power one multiply;
+  * the exponents are the differences of adjacent fields:
+    key - ((key << w) & fields) holds e_i in field i.  On that form the box
+    test "every e_i < q" and divisibility are guard-bit tests (Monagan-Pearce);
+    lcm and the root split e_i = q b_i + g_i unpack the fields one by one.
+
+Field width: every stored exponent is below EXPONENT_LIMIT = 2^32, so a sum of
+two stored monomials has S_i < 2n * 2^32.  Each field is w = 33 + bitlen(n)
+bits wide, which holds that, so adding two monomials never carries from one
+field into the next.  The top bit of a field, 2^(w-1) >= max(2^33, n * 2^32),
+is above every exponent the kernels meet, so it serves as the guard bit.
+
+Overflow rule: every product path checks its output.  A term whose degree
+field is below 2^32 has no exponent >= 2^32, so only when the largest degree
+reaches 2^32 are the terms unpacked, and an exponent >= 2^32 raises
+OverflowError.
+
+This module is the only one that encodes or decodes the layout.  The public
+API speaks exponent tuples: `make` takes them, `terms` is a read-only view
+keyed by them, and `lead_monomial`, `sorted_terms` and `str` return them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Mapping
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .errors import DomainError
 from .exact import PrimePower, is_prime
@@ -23,11 +54,6 @@ def drl_key(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def lex_key(m: Monomial):
-    """Lexicographic sort key (x1 > x2 > ...); experimental, untested surface."""
-    return tuple(m)
-
-
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -36,20 +62,126 @@ def monomial_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+# -- packed layout -------------------------------------------------------------
+
+def _width(n: int) -> int:
+    """Bits per field; see the module docstring."""
+    return 33 + n.bit_length()
+
+
+def _pack(mono: Iterable[int], w: int) -> int:
+    key = s = shift = 0
+    for e in mono:
+        s += e
+        key |= s << shift
+        shift += w
+    return key
+
+
+def _unpack(key: int, n: int, w: int) -> Monomial:
+    mask = (1 << w) - 1
+    out = []
+    prev = 0
+    for _ in range(n):
+        s = key & mask
+        out.append(s - prev)
+        prev = s
+        key >>= w
+    return tuple(out)
+
+
+def _guards(n: int, w: int) -> tuple[int, int]:
+    """(fields, guards): the mask of all n fields, and the top bit of each.
+
+    For a key, key - ((key << w) & fields) holds e_i in field i (the prefix
+    sums never decrease, so nothing borrows).
+    """
+    fields = (1 << (n * w)) - 1
+    return fields, (fields // ((1 << w) - 1)) << (w - 1)
+
+
+def _box(bound: int, n: int, w: int) -> tuple[int, int, int]:
+    """(fields, bias, guards) for the test "every exponent is below bound" on
+    a stored monomial or a sum of two, whose exponents are below 2^33.
+
+    Adding bias to the exponent form puts e_i + 2^(w-1) - bound in field i,
+    which has its guard bit set iff e_i >= bound and never carries.  So key is
+    in the box iff not (key - ((key << w) & fields) + bias) & guards.
+    """
+    fields, guards = _guards(n, w)
+    guard = 1 << (w - 1)
+    bound = max(0, min(bound, guard))  # every exponent is below 2^33 <= guard
+    return fields, (guards >> (w - 1)) * (guard - bound), guards
+
+
+def _check_range(terms: dict, n: int, w: int) -> None:
+    """Raise OverflowError when some term has an exponent >= EXPONENT_LIMIT."""
+    if terms and max(terms) >> ((n - 1) * w) >= EXPONENT_LIMIT:
+        for key in terms:
+            for e in _unpack(key, n, w):
+                if e >= EXPONENT_LIMIT:
+                    raise OverflowError(f"exponent {e} >= 2^32")
+
+
+def _lcm(a: int, b: int, n: int, w: int) -> int:
+    return _pack(map(max, _unpack(a, n, w), _unpack(b, n, w)), w)
+
+
+def _drop_zeros(terms: dict) -> dict:
+    """Delete the terms whose coefficient cancelled to 0, in place; return terms."""
+    if 0 in terms.values():
+        for k in [k for k, c in terms.items() if not c]:
+            del terms[k]
+    return terms
+
+
+class _TermView(Mapping):
+    """Read-only view of a polynomial's terms keyed by exponent tuples.
+
+    It decodes on access and stores nothing, so a polynomial's memory stays its
+    packed dict alone, and `len` costs nothing.
+    """
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "GFPoly"):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._terms)
+
+    def __iter__(self) -> Iterator[Monomial]:
+        n = self._poly.n
+        w = _width(n)
+        return (_unpack(k, n, w) for k in self._poly._terms)
+
+    def __getitem__(self, mono) -> int:
+        n = self._poly.n
+        if (not isinstance(mono, tuple) or len(mono) != n
+                or not all(0 <= e < EXPONENT_LIMIT for e in mono)):
+            raise KeyError(mono)
+        return self._poly._terms[_pack(mono, _width(n))]
+
+    def items(self) -> list[tuple[Monomial, int]]:
+        n = self._poly.n
+        w = _width(n)
+        return [(_unpack(k, n, w), c) for k, c in self._poly._terms.items()]
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 class GFPoly:
     """Immutable sparse polynomial in F_p[x_1..x_n]."""
 
-    __slots__ = ("n", "p", "terms", "_hash")
+    __slots__ = ("n", "p", "_terms", "_hash")
 
     def __init__(self, n: int, p: int, terms: dict):
-        # Internal constructor: `terms` must already be canonical.
+        # Internal constructor: `terms` maps packed monomials to canonical
+        # nonzero residues, every exponent below EXPONENT_LIMIT.
         self.n = n
         self.p = p
-        self.terms = terms
+        self._terms = terms
         self._hash = None
 
     @classmethod
@@ -59,6 +191,7 @@ class GFPoly:
             raise DomainError(f"need at least one variable, got n={n}")
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
+        w = _width(n)
         terms: dict = {}
         for mono, coeff in items:
             mono = tuple(mono)
@@ -69,11 +202,12 @@ class GFPoly:
                     raise DomainError(f"negative exponent in {mono}")
                 if e >= EXPONENT_LIMIT:
                     raise OverflowError(f"exponent {e} >= 2^32")
-            c = (terms.get(mono, 0) + coeff) % p
+            key = _pack(mono, w)
+            c = (terms.get(key, 0) + coeff) % p
             if c:
-                terms[mono] = c
-            elif mono in terms:
-                del terms[mono]
+                terms[key] = c
+            elif key in terms:
+                del terms[key]
         return cls(n, p, terms)
 
     @classmethod
@@ -101,40 +235,49 @@ class GFPoly:
         return cls.make(n, p, [(tuple(mono), coeff)])
 
     @property
+    def terms(self) -> Mapping:
+        """The terms as a read-only mapping from exponent tuples to coefficients."""
+        return _TermView(self)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self._terms) == 1
 
     def constant_term(self) -> int:
-        return self.terms.get((0,) * self.n, 0)
+        return self._terms.get(0, 0)
 
     def vanishes_at_origin(self) -> bool:
         return self.constant_term() == 0
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max(sum(m) for m in self.terms)
+        return max(self._terms) >> ((self.n - 1) * _width(self.n))
 
     def min_degree(self) -> int:
-        if not self.terms:
+        if not self._terms:
             return -1
-        return min(sum(m) for m in self.terms)
+        return min(self._terms) >> ((self.n - 1) * _width(self.n))
 
-    def lead_monomial(self, key=drl_key) -> Monomial:
-        if not self.terms:
+    def lead_monomial(self) -> Monomial:
+        if not self._terms:
             raise DomainError("zero polynomial has no lead monomial")
-        return max(self.terms, key=key)
+        return _unpack(max(self._terms), self.n, _width(self.n))
 
-    def lead_coeff(self, key=drl_key) -> int:
-        return self.terms[self.lead_monomial(key)]
+    def lead_coeff(self) -> int:
+        if not self._terms:
+            raise DomainError("zero polynomial has no lead monomial")
+        return self._terms[max(self._terms)]
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in descending degrevlex order."""
-        return sorted(self.terms.items(), key=lambda kv: drl_key(kv[0]), reverse=True)
+        n = self.n
+        w = _width(n)
+        return [(_unpack(k, n, w), c) for k, c in sorted(self._terms.items(), reverse=True)]
 
     def _check_ambient(self, other: "GFPoly"):
         if self.n != other.n or self.p != other.p:
@@ -145,18 +288,18 @@ class GFPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GFPoly):
             return NotImplemented
-        return self.n == other.n and self.p == other.p and self.terms == other.terms
+        return self.n == other.n and self.p == other.p and self._terms == other._terms
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.n, self.p, frozenset(self.terms.items())))
+            self._hash = hash((self.n, self.p, frozenset(self._terms.items())))
         return self._hash
 
     def __add__(self, other: "GFPoly") -> "GFPoly":
         self._check_ambient(other)
-        terms = dict(self.terms)
+        terms = dict(self._terms)
         p = self.p
-        for m, c in other.terms.items():
+        for m, c in other._terms.items():
             v = (terms.get(m, 0) + c) % p
             if v:
                 terms[m] = v
@@ -166,7 +309,7 @@ class GFPoly:
 
     def __neg__(self) -> "GFPoly":
         p = self.p
-        return GFPoly(self.n, p, {m: p - c for m, c in self.terms.items()})
+        return GFPoly(self.n, p, {m: p - c for m, c in self._terms.items()})
 
     def __sub__(self, other: "GFPoly") -> "GFPoly":
         return self + (-other)
@@ -175,7 +318,7 @@ class GFPoly:
         c %= self.p
         if c == 0:
             return GFPoly.zero(self.n, self.p)
-        return GFPoly(self.n, self.p, {m: (v * c) % self.p for m, v in self.terms.items()})
+        return GFPoly(self.n, self.p, {m: (v * c) % self.p for m, v in self._terms.items()})
 
     def monic(self) -> "GFPoly":
         if self.is_zero:
@@ -185,40 +328,37 @@ class GFPoly:
 
     def mul_term(self, mono: Monomial, coeff: int) -> "GFPoly":
         """Multiply by a single term coeff * x^mono."""
-        coeff %= self.p
-        if coeff == 0:
-            return GFPoly.zero(self.n, self.p)
-        out = {}
-        for m, c in self.terms.items():
-            mm = monomial_mul(m, mono)
-            for e in mm:
-                if e >= EXPONENT_LIMIT:
-                    raise OverflowError(f"exponent {e} >= 2^32")
-            out[mm] = (c * coeff) % self.p
-        return GFPoly(self.n, self.p, out)
+        p = self.p
+        coeff %= p
+        if coeff == 0 or not self._terms:
+            return GFPoly.zero(self.n, p)
+        for e in mono:
+            if e >= EXPONENT_LIMIT:
+                raise OverflowError(f"exponent {e} >= 2^32")
+        n = self.n
+        w = _width(n)
+        shift = _pack(mono, w)
+        out = {m + shift: (c * coeff) % p for m, c in self._terms.items()}
+        _check_range(out, n, w)
+        return GFPoly(n, p, out)
 
     def __mul__(self, other: "GFPoly") -> "GFPoly":
         self._check_ambient(other)
         if self.is_zero or other.is_zero:
             return GFPoly.zero(self.n, self.p)
-        a, b = self.terms, other.terms
+        a, b = self._terms, other._terms
         if len(a) < len(b):
             a, b = b, a
-        p = self.p
         out: dict = {}
+        get = out.get
+        p = self.p
         for m2, c2 in b.items():
             for m1, c1 in a.items():
-                mm = monomial_mul(m1, m2)
-                v = (out.get(mm, 0) + c1 * c2) % p
-                if v:
-                    out[mm] = v
-                elif mm in out:
-                    del out[mm]
-        for mm in out:
-            for e in mm:
-                if e >= EXPONENT_LIMIT:
-                    raise OverflowError(f"exponent {e} >= 2^32")
-        return GFPoly(self.n, p, out)
+                mm = m1 + m2
+                out[mm] = (get(mm, 0) + c1 * c2) % p
+        _drop_zeros(out)
+        _check_range(out, self.n, _width(self.n))
+        return GFPoly(self.n, self.p, out)
 
     def mul_truncated(self, other: "GFPoly", bound: int) -> "GFPoly":
         """Product with every term having some exponent >= bound dropped.
@@ -228,19 +368,22 @@ class GFPoly:
         to a surviving one later.
         """
         self._check_ambient(other)
+        n = self.n
+        w = _width(n)
+        fields, bias, guards = _box(bound, n, w)
         p = self.p
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mm = monomial_mul(m1, m2)
-                if any(e >= bound for e in mm):
+        get = out.get
+        b = other._terms.items()
+        for m1, c1 in self._terms.items():
+            for m2, c2 in b:
+                mm = m1 + m2
+                if (mm - ((mm << w) & fields) + bias) & guards:
                     continue
-                v = (out.get(mm, 0) + c1 * c2) % p
-                if v:
-                    out[mm] = v
-                elif mm in out:
-                    del out[mm]
-        return GFPoly(self.n, p, out)
+                out[mm] = (get(mm, 0) + c1 * c2) % p
+        _drop_zeros(out)
+        _check_range(out, n, w)
+        return GFPoly(n, self.p, out)
 
     def pow(self, r: int) -> "GFPoly":
         if r < 0:
@@ -257,9 +400,87 @@ class GFPoly:
 
     def truncate(self, bound: int) -> "GFPoly":
         """Drop every term having some exponent >= bound."""
-        return GFPoly(
-            self.n, self.p, {m: c for m, c in self.terms.items() if all(e < bound for e in m)}
-        )
+        n = self.n
+        w = _width(n)
+        fields, bias, guards = _box(bound, n, w)
+        return GFPoly(n, self.p, {m: c for m, c in self._terms.items()
+                                  if not (m - ((m << w) & fields) + bias) & guards})
+
+    def frobenius_power(self, qv: int) -> "GFPoly":
+        """self^q for q a power of p: (sum c x^a)^q = sum c x^(q a) over F_p."""
+        n = self.n
+        w = _width(n)
+        if self.total_degree() * qv < EXPONENT_LIMIT:
+            return GFPoly(n, self.p, {m * qv: c for m, c in self._terms.items()})
+        # Too large to multiply the packed keys: let `make` raise OverflowError.
+        return GFPoly.make(n, self.p, [(tuple(e * qv for e in _unpack(m, n, w)), c)
+                                       for m, c in self._terms.items()])
+
+    def root_pieces(self, qv: int) -> list["GFPoly"]:
+        """Split self = sum_gamma (g_gamma)^q * x^gamma, 0 <= gamma_i < q; return
+        the nonzero g_gamma in ascending degrevlex order of gamma."""
+        n = self.n
+        w = _width(n)
+        mask = (1 << w) - 1
+        shifts = range(0, n * w, w)
+        buckets: dict = {}
+        for m, c in self._terms.items():
+            gamma = sg = prev = 0
+            for shift in shifts:
+                s = (m >> shift) & mask
+                sg += (s - prev) % qv
+                prev = s
+                gamma |= sg << shift
+            # The fields are linear: m = q * beta + gamma with no carries.
+            beta = (m - gamma) // qv
+            bucket = buckets.get(gamma)
+            if bucket is None:
+                buckets[gamma] = {beta: c}
+            else:
+                bucket[beta] = c
+        return [GFPoly(n, self.p, buckets[g]) for g in sorted(buckets)]
+
+    def remainder(self, basis: Iterable["GFPoly"]) -> "GFPoly":
+        """Remainder of multivariate division by `basis` under degrevlex.
+
+        No term of the result is divisible by the lead monomial of any divisor.
+        """
+        n, p = self.n, self.p
+        w = _width(n)
+        fields, guards = _guards(n, w)
+        divisors = []
+        for g in basis:
+            if g._terms:
+                lead = max(g._terms)
+                divisors.append((lead - ((lead << w) & fields), lead,
+                                 pow(g._terms[lead], -1, p), g._terms))
+        if not divisors or not self._terms:
+            return self
+        work = dict(self._terms)
+        remainder: dict = {}
+        while work:
+            m = max(work)
+            c = work[m]
+            # Field i of em - lead_exps is e_i(m) - e_i(lead) + 2^(w-1): no
+            # carries, as every exponent here is at most deg(self) < 2^(w-1).
+            em = m - ((m << w) & fields) + guards
+            for lead_exps, lead, inv, gterms in divisors:
+                if (em - lead_exps) & guards == guards:
+                    shift = m - lead
+                    factor = (c * inv) % p
+                    for gm, gc in gterms.items():
+                        mm = gm + shift
+                        v = (work.get(mm, 0) - factor * gc) % p
+                        if v:
+                            work[mm] = v
+                        elif mm in work:
+                            del work[mm]
+                    break
+            else:
+                remainder[m] = c
+                del work[m]
+        _check_range(remainder, n, w)
+        return GFPoly(n, p, remainder)
 
     def __str__(self) -> str:
         from .parsing import format_terms
@@ -270,12 +491,100 @@ class GFPoly:
         return f"GFPoly({self}, n={self.n}, p={self.p})"
 
 
-def poly_add(f: GFPoly, g: GFPoly) -> GFPoly:
-    return f + g
+def lead_lcm(f: GFPoly, g: GFPoly) -> int:
+    """Degrevlex sort key of lcm(LM(f), LM(g)); comparable only within one ring."""
+    n = f.n
+    return _lcm(max(f._terms), max(g._terms), n, _width(n))
 
 
-def poly_mul(f: GFPoly, g: GFPoly) -> GFPoly:
-    return f * g
+def leads_coprime(f: GFPoly, g: GFPoly) -> bool:
+    """True iff the lead monomials of f and g share no variable."""
+    a, b = max(f._terms), max(g._terms)
+    n = f.n
+    return _lcm(a, b, n, _width(n)) == a + b
+
+
+def s_polynomial(f: GFPoly, g: GFPoly) -> GFPoly:
+    """lcm/LT(f) * f - lcm/LT(g) * g for the lcm of the two lead monomials."""
+    n, p = f.n, f.p
+    w = _width(n)
+    lf, lg = max(f._terms), max(g._terms)
+    lcm = _lcm(lf, lg, n, w)
+    return (f.mul_term(_unpack(lcm - lf, n, w), pow(f._terms[lf], -1, p))
+            - g.mul_term(_unpack(lcm - lg, n, w), pow(g._terms[lg], -1, p)))
+
+
+def _row_key(terms: dict, n: int, w: int) -> tuple:
+    """Order of rows in `echelonize`: the lead monomial, then the row's
+    `sorted_terms` list as a tuple, without the lead monomial."""
+    if len(terms) == 1:
+        (item,) = terms.items()
+        return item
+    items = sorted(terms.items(), reverse=True)
+    return (items[0][0], items[0][1]) + tuple((_unpack(m, n, w), c) for m, c in items[1:])
+
+
+def echelonize(polys: Iterable[GFPoly], n: int, p: int) -> list[GFPoly]:
+    """Echelonize a generating set over F_p (same ideal, bounded count).
+
+    Rows are combined linearly only, so the span (hence the ideal) is
+    unchanged while the number of generators drops to at most the dimension
+    of the ambient coefficient space.  Rows are taken in descending degrevlex
+    order of their lead monomials, and rows sharing a lead monomial in
+    descending order of their `sorted_terms` lists compared as tuples.  Which
+    row becomes a pivot decides the generators returned, so this order is part
+    of the result.  Repeated rows are dropped.
+    """
+    w = _width(n)
+    keyed = sorted(((_row_key(g._terms, n, w), g._terms) for g in polys if g._terms),
+                   key=itemgetter(0), reverse=True)
+    rows = [t for i, (key, t) in enumerate(keyed) if i == 0 or key != keyed[i - 1][0]]
+    pivots: dict = {}
+    for row in rows:
+        work = dict(row)
+        while work:
+            m = max(work)
+            piv = pivots.get(m)
+            if piv is None:
+                inv = pow(work[m], -1, p)
+                pivots[m] = {mm: (cc * inv) % p for mm, cc in work.items()}
+                break
+            c = work[m]
+            for mm, cc in piv.items():
+                v = (work.get(mm, 0) - c * cc) % p
+                if v:
+                    work[mm] = v
+                elif mm in work:
+                    del work[mm]
+    return [GFPoly(n, p, pivots[m]) for m in sorted(pivots, reverse=True)]
+
+
+def truncated_power_degrees(f: GFPoly, bound: int) -> Iterator[tuple[int, int]]:
+    """For i = 1, 2, ...: (term count, least total degree) of f^i computed with
+    every term having some exponent >= bound dropped after each factor.
+
+    Stops at the first i whose truncated power is zero.
+    """
+    n, p = f.n, f.p
+    w = _width(n)
+    top = (n - 1) * w
+    fields, bias, guards = _box(bound, n, w)
+    fterms = list(f._terms.items())
+    cur = {0: 1}
+    while True:
+        nxt: dict = {}
+        get = nxt.get
+        for m, c in cur.items():
+            for fm, fc in fterms:
+                mm = m + fm
+                if (mm - ((mm << w) & fields) + bias) & guards:
+                    continue
+                nxt[mm] = (get(mm, 0) + c * fc) % p
+        cur = _drop_zeros(nxt)
+        if not cur:
+            return
+        _check_range(cur, n, w)
+        yield len(cur), min(cur) >> top
 
 
 def poly_pow_truncated(f: GFPoly, r: int, q: PrimePower) -> GFPoly:

@@ -17,9 +17,11 @@ from .gfpoly import (
     GFPoly,
     Monomial,
     drl_key,
+    lead_lcm,
+    leads_coprime,
     monomial_divides,
-    monomial_lcm,
     monomial_mul,
+    s_polynomial,
 )
 
 DEFAULT_PAIR_CAP = 100_000
@@ -30,47 +32,7 @@ def normal_form(f: GFPoly, basis: Sequence[GFPoly]) -> GFPoly:
 
     No term of the result is divisible by the lead monomial of any divisor.
     """
-    divisors = [(g.lead_monomial(), g.lead_coeff(), g) for g in basis if not g.is_zero]
-    if not divisors or f.is_zero:
-        return f
-    p = f.p
-    work = dict(f.terms)
-    remainder: dict = {}
-    while work:
-        m = max(work, key=drl_key)
-        c = work[m]
-        for hm, hc, g in divisors:
-            if monomial_divides(hm, m):
-                shift = tuple(a - b for a, b in zip(m, hm))
-                factor = (c * pow(hc, -1, p)) % p
-                for gm, gc in g.terms.items():
-                    mm = monomial_mul(gm, shift)
-                    v = (work.get(mm, 0) - factor * gc) % p
-                    if v:
-                        work[mm] = v
-                    elif mm in work:
-                        del work[mm]
-                break
-        else:
-            remainder[m] = c
-            del work[m]
-    return GFPoly(f.n, f.p, remainder)
-
-
-def _spoly(f: GFPoly, g: GFPoly) -> GFPoly:
-    lf, lg = f.lead_monomial(), g.lead_monomial()
-    lcm = monomial_lcm(lf, lg)
-    p = f.p
-    sf = tuple(a - b for a, b in zip(lcm, lf))
-    sg = tuple(a - b for a, b in zip(lcm, lg))
-    cf = pow(f.lead_coeff(), -1, p)
-    cg = pow(g.lead_coeff(), -1, p)
-    return f.mul_term(sf, cf) - g.mul_term(sg, cg)
-
-
-def _pair_key(lcm: Monomial, i: int, j: int):
-    # Process pairs by degree of the lcm, then degrevlex of the lcm: deterministic.
-    return (sum(lcm), tuple(-e for e in reversed(lcm)), i, j)
+    return f.remainder(basis)
 
 
 def groebner_basis(gens: Iterable[GFPoly], pair_cap: int = DEFAULT_PAIR_CAP) -> tuple[GFPoly, ...]:
@@ -78,30 +40,28 @@ def groebner_basis(gens: Iterable[GFPoly], pair_cap: int = DEFAULT_PAIR_CAP) -> 
     basis = [g.monic() for g in gens if not g.is_zero]
     if not basis:
         return ()
+    # Pairs are processed by degrevlex of the lcm of their lead monomials, then
+    # by index: deterministic.
     heap: list = []
     for i in range(len(basis)):
         for j in range(i):
-            lcm = monomial_lcm(basis[i].lead_monomial(), basis[j].lead_monomial())
-            heapq.heappush(heap, (_pair_key(lcm, j, i), j, i))
+            heapq.heappush(heap, (lead_lcm(basis[i], basis[j]), j, i))
     processed = 0
     while heap:
         _, i, j = heapq.heappop(heap)
         f, g = basis[i], basis[j]
-        lf, lg = f.lead_monomial(), g.lead_monomial()
-        lcm = monomial_lcm(lf, lg)
-        if lcm == monomial_mul(lf, lg):
-            continue  # product criterion: coprime lead monomials
+        if leads_coprime(f, g):
+            continue  # product criterion
         processed += 1
         if processed > pair_cap:
             raise CapacityError(f"S-pair cap of {pair_cap} exceeded")
-        r = normal_form(_spoly(f, g), basis)
+        r = normal_form(s_polynomial(f, g), basis)
         if r.is_zero:
             continue
         r = r.monic()
         k = len(basis)
         for t in range(k):
-            lcm = monomial_lcm(basis[t].lead_monomial(), r.lead_monomial())
-            heapq.heappush(heap, (_pair_key(lcm, t, k), t, k))
+            heapq.heappush(heap, (lead_lcm(basis[t], r), t, k))
         basis.append(r)
     return _reduce_basis(basis)
 

@@ -80,3 +80,111 @@ def cusp_nu_oracle(p: int, e: int) -> int:
                 best = r
                 break
     return best
+
+
+# -- tuple-dict reference for the packed GFPoly kernels ------------------------
+#
+# Polynomials here are plain dicts {exponent tuple: residue}.  The functions
+# follow the definitions term by term, with no packing, and raise
+# OverflowError for an output exponent >= 2^32 as the package does.
+
+EXPONENT_LIMIT = 2**32
+
+
+def drl(m):
+    """Degrevlex key of an exponent tuple; larger key means larger monomial."""
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def _ref_out(terms: dict, p: int) -> dict:
+    out = {m: c % p for m, c in terms.items() if c % p}
+    for m in out:
+        if max(m) >= EXPONENT_LIMIT:
+            raise OverflowError(f"exponent {max(m)} >= 2^32")
+    return out
+
+
+def ref_mul(a: dict, b: dict, p: int) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return _ref_out(out, p)
+
+
+def ref_mul_truncated(a: dict, b: dict, bound: int, p: int) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            if max(m) < bound:
+                out[m] = out.get(m, 0) + c1 * c2
+    return _ref_out(out, p)
+
+
+def ref_truncate(a: dict, bound: int) -> dict:
+    return {m: c for m, c in a.items() if max(m) < bound}
+
+
+def ref_mul_term(a: dict, mono: tuple, coeff: int, p: int) -> dict:
+    return _ref_out({tuple(x + y for x, y in zip(m, mono)): c * coeff for m, c in a.items()}, p)
+
+
+def ref_root_pieces(a: dict, q: int) -> list[dict]:
+    """a = sum_gamma (a_gamma)^q x^gamma: the a_gamma in ascending degrevlex of gamma."""
+    buckets: dict = {}
+    for m, c in a.items():
+        buckets.setdefault(tuple(e % q for e in m), {})[tuple(e // q for e in m)] = c
+    return [buckets[g] for g in sorted(buckets, key=drl)]
+
+
+def ref_linear_reduce(rows: list[dict], p: int) -> list[dict]:
+    """Row echelon form: distinct nonzero rows taken in descending order of
+    (lead monomial, degrevlex-sorted term list), each reduced by the pivots so
+    far; the pivots are returned monic, by descending lead monomial."""
+    def term_list(r):
+        return tuple(sorted(r.items(), key=lambda kv: drl(kv[0]), reverse=True))
+
+    distinct = {frozenset(r.items()): r for r in rows if r}
+    ordered = sorted(distinct.values(), key=lambda r: (drl(max(r, key=drl)), term_list(r)),
+                     reverse=True)
+    pivots: dict = {}
+    for r in ordered:
+        work = dict(r)
+        while work:
+            m = max(work, key=drl)
+            if m not in pivots:
+                inv = pow(work[m], -1, p)
+                pivots[m] = {k: c * inv % p for k, c in work.items()}
+                break
+            c = work[m]
+            for k, v in pivots[m].items():
+                work[k] = (work.get(k, 0) - c * v) % p
+                if not work[k]:
+                    del work[k]
+    return [pivots[m] for m in sorted(pivots, key=drl, reverse=True)]
+
+
+def ref_normal_form(f: dict, divisors: list[dict], p: int) -> dict:
+    """Remainder of degrevlex division of f by the divisors, taken in order."""
+    leads = [(max(g, key=drl), g) for g in divisors if g]
+    work = dict(f)
+    rem: dict = {}
+    while work:
+        m = max(work, key=drl)
+        c = work[m]
+        for lead, g in leads:
+            if all(x <= y for x, y in zip(lead, m)):
+                factor = c * pow(g[lead], -1, p) % p
+                shift = tuple(y - x for x, y in zip(lead, m))
+                for gm, gc in g.items():
+                    k = tuple(x + y for x, y in zip(gm, shift))
+                    work[k] = (work.get(k, 0) - factor * gc) % p
+                    if not work[k]:
+                        del work[k]
+                break
+        else:
+            rem[m] = c
+            del work[m]
+    return _ref_out(rem, p)

@@ -96,6 +96,20 @@ def test_sweep_stdout_and_csv(tmp_path: Path, capsys):
     assert csv_path.read_text().startswith("p,e,nu,low,high,elapsed_ms\n")
 
 
+def test_sweep_rejects_non_prime(tmp_path: Path, capsys):
+    code = dispatch(["sweep", "--gens", "x^2+y^3", "-n", "2", "--primes", "5,9",
+                     "--qmax", "100"])
+    assert code == EXIT_USAGE
+    assert "9 is not prime" in capsys.readouterr().err
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_cusp_sweep.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--primes", "5,9", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "9 is not prime" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_parse_print_parse_roundtrip(capsys):
     # the froot output is in the same grammar the commands accept
     code, out = run(capsys, "froot", "--gens", "x^7+y^7", "-n", "2", "-p", "7", "-e", "1")
