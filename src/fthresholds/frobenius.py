@@ -25,6 +25,7 @@ from .errors import CapacityError, DomainError, InvariantViolation
 from .exact import PrimePower, farey_below, prime_power, simplest_between
 from .gfpoly import GFPoly, drl_key, echelonize, truncated_power_degrees
 from .groebner import Ideal, MonomialIdeal, ideal_equal
+from .newton import multiplier_ideal_monomial
 
 DEFAULT_DP_CAP = 200_000
 DEFAULT_NODE_CAP = 1_000_000
@@ -349,13 +350,69 @@ def _power_root(a: Ideal, N: int, q: PrimePower, cap: int) -> Ideal:
     return _expanded_power_root(list(a.gens), a.n, a.p, N, q, cap)
 
 
+def _denominator_period(lam: Fraction, p: int, t_max: int) -> tuple[int, int | None]:
+    """(s, t) with lam * p^s * (p^t - 1) an integer and t the order of p
+    modulo the p-free part of the denominator; t = 0 when that part is 1 and
+    None when the order exceeds t_max."""
+    w, s = lam.denominator, 0
+    while w % p == 0:
+        w //= p
+        s += 1
+    if w == 1:
+        return s, 0
+    t, r = 1, p % w
+    while r != 1:
+        if t >= t_max:
+            return s, None
+        r = r * p % w
+        t += 1
+    return s, t
+
+
+def _principal_chain_is_final(a: Ideal, lam: Fraction, e: int, cap: int,
+                              chain: dict) -> bool:
+    """Whether the level-e chain term of a principal ideal (f) is tau(f^lam).
+
+    For lam = u/p^s every term from level s on is (f^u)^[1/p^s], which is
+    tau(f^lam) (Blickle-Mustata-Smith 2008).  Otherwise lam = b/(p^s (Q - 1))
+    with Q = p^t; put M_k = ceil(lam p^s Q^k) and K_k = (f^M_k)^[1/Q^k], so the
+    level-(s + tk) term is K_k^[1/p^s].  Since M_{k+1} = M_k + b Q^k and
+    (g h^(Q^k))^[1/Q^k] = g^[1/Q^k] h, the K_k obey K_{k+1} = (f^b K_k)^[1/Q]:
+    once K_{k-1} = K_k the sequence is constant, so the chain, which ascends
+    to tau(f^lam), has reached it.  `chain` maps levels to computed terms.
+    """
+    s, t = _denominator_period(lam, a.p, e)
+    if t is None:
+        return False
+    if t == 0:
+        return e >= s
+    k, r = divmod(e - s, t)
+    if k < 1 or r:
+        return False
+
+    def K(j: int) -> Ideal:
+        if s == 0 and j * t in chain:
+            return chain[j * t]
+        N = math.ceil(lam * a.p**(s + j * t))
+        if j == 0:
+            return Ideal([a.gens[0].pow(N)], n=a.n, p=a.p)
+        return _power_root(a, N, prime_power(a.p, j * t), cap)
+
+    return ideal_equal(K(k - 1), K(k))
+
+
 def test_ideal(a: Ideal, lam: Fraction, e_max: int,
                expansion_cap: int = DEFAULT_EXPANSION_CAP) -> TestIdealResult:
     """tau(a^lam) via the ascending chain I_e = (a^ceil(lam p^e))^[1/p^e].
 
-    Stops when two consecutive ideals agree (stabilized) or at e_max
-    (stabilized=False, honestly).  The chain is verified ascending at every
-    step; a unit value is final since the chain can only grow.
+    The chain is verified ascending at every step and reaches tau(a^lam).  It
+    stops (stabilized=True) only when a term is known to be the limit: a unit
+    term, since the chain can only grow; for principal ideals, the fixed point
+    of _principal_chain_is_final; for monomial ideals, a term equal to the
+    multiplier ideal, which is tau(a^lam) in every characteristic
+    (Hara-Yoshida 2003, Theorem 4.8).  Two equal consecutive terms prove
+    nothing in general, so otherwise the chain runs to e_max and reports
+    stabilized=False.
     """
     lam = Fraction(lam)
     if lam < 0:
@@ -363,18 +420,27 @@ def test_ideal(a: Ideal, lam: Fraction, e_max: int,
     if e_max < 1:
         raise DomainError("e_max must be >= 1")
     prime_power(a.p, e_max)  # validates p^e_max < 2^63
+    monomial = not a.is_zero and all(g.is_monomial() for g in a.gens)
+    howald = None
+    chain = {}
     prev = None
     for e in range(1, e_max + 1):
         q = prime_power(a.p, e)
         N = math.ceil(lam * q.q)
         current = _power_root(a, N, q, expansion_cap)
-        if prev is not None:
-            if not current.contains_ideal(prev):
-                raise InvariantViolation("test ideal chain is not ascending")
-            if ideal_equal(prev, current):
-                return TestIdealResult(current, lam, e, True)
-        if current.is_unit():
+        chain[e] = current
+        if prev is not None and not current.contains_ideal(prev):
+            raise InvariantViolation("test ideal chain is not ascending")
+        if current.is_unit() or a.is_zero:
             return TestIdealResult(current, lam, e, True)
+        if len(a.gens) == 1 and _principal_chain_is_final(a, lam, e, expansion_cap, chain):
+            return TestIdealResult(current, lam, e, True)
+        if monomial:
+            if howald is None:
+                points = [g.lead_monomial() for g in a.gens]
+                howald = multiplier_ideal_monomial(MonomialIdeal(points, a.n), lam).to_ideal(a.p)
+            if ideal_equal(current, howald):
+                return TestIdealResult(current, lam, e, True)
         prev = current
     return TestIdealResult(prev, lam, e_max, False)
 
@@ -406,8 +472,9 @@ def fpt_point(a: Ideal, e: int, *, e_max: int = None, den_limit: int = None) -> 
     candidate; confirms that the stabilized tau at the candidate vanishes at
     the origin while the largest grid rational below it (denominators up to q)
     is provably under the threshold.  Returns None when no confirmation is
-    reached.  Stabilization of the chain is heuristic, so a confirmed point is
-    only as strong as the stabilized tau value; the below-proof is exact.
+    reached.  The stabilized tau value and the below-proof are exact, but the
+    step to the grid rational assumes that the denominator of the threshold is
+    at most the limit, which nothing proves.
     """
     enc = fpt_enclosure(a, e)
     dlim = den_limit if den_limit is not None else enc.q.q

@@ -1,5 +1,6 @@
 """Bracket powers, Frobenius roots, nu, enclosures, and test ideals."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from fthresholds.frobenius import (
 )
 from fthresholds.frobenius import test_ideal as tau_chain
 from fthresholds.gfpoly import GFPoly
-from fthresholds.groebner import Ideal, ideal_equal, ideal_member
+from fthresholds.groebner import Ideal, MonomialIdeal, ideal_equal, ideal_member
 from fthresholds.parsing import parse_gfpoly
 from fthresholds.reduction import truncate_ideal
 
@@ -243,6 +244,46 @@ def test_two_routes_consistency(seed):
     elif result.stabilized:
         for enc in encs:
             assert lam >= enc.low
+
+
+def test_tau_chain_no_false_stabilization():
+    # I_1 = I_2 = (f), yet nu(3) = 26 >= ceil(11 * 27 / 12) = 25 makes I_3 = R
+    f = ideal(["x^2 + y^2"], p=3)
+    early = tau_chain(f, Fraction(11, 12), 2)
+    assert ideal_equal(early.ideal, f) and not early.stabilized
+    assert tau_chain(f, Fraction(11, 12), 3).ideal.is_unit()
+    # I_1 = I_2 = (x, y), yet the threshold is at least nu(3)/125 = 74/125 > 7/12
+    g = ideal(["x^3 + 4*x^2*y + x*y^2 + y^3"], p=5)
+    assert fpt_enclosure(g, 3).low > Fraction(7, 12)
+    early = tau_chain(g, Fraction(7, 12), 2)
+    assert ideal_equal(early.ideal, ideal(["x", "y"], p=5)) and not early.stabilized
+    assert tau_chain(g, Fraction(7, 12), 3).ideal.is_unit()
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_tau_chain_stabilized_is_the_limit(seed):
+    """A stabilized value equals a chain term further down (level 4 to 6)."""
+    rng = random.Random(seed)
+    p = rng.choice([2, 3])
+    den = rng.choice([4, 6, 12])
+    lam = Fraction(rng.randint(1, 2 * den), den)
+    if rng.random() < 0.5:
+        f = rand_homogeneous(rng, 2, p, rng.randint(2, 4))
+        if f.is_zero:
+            return
+        a = Ideal([f], n=2, p=p)
+        q = prime_power(p, 6)
+        deep = frobenius_root_principal_power(f, math.ceil(lam * q.q), q)
+    else:
+        points = [(rng.randint(1, 4), 0), (0, rng.randint(1, 4)),
+                  (rng.randint(1, 3), rng.randint(1, 3))]
+        a = MonomialIdeal(points, 2).to_ideal(p)
+        q = prime_power(p, 6 if p == 2 else 4)
+        deep = MonomialIdeal(points, 2).pow(math.ceil(lam * q.q)).floor_root(q).to_ideal(p)
+    result = tau_chain(a, lam, 3)
+    if result.stabilized:
+        assert ideal_equal(result.ideal, deep)
 
 
 @given(st.integers(0, 10**6))
