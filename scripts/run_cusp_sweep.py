@@ -32,7 +32,6 @@ class SweepConfig:
     primes: str = "5..47"
     q_max: int = 10**5
     target: str = "5/6"
-    jobs: int = 1
     out_dir: Path = Path("results")
 
 
@@ -45,7 +44,6 @@ def main() -> int:
     parser.add_argument("--primes", default=cfg.primes)
     parser.add_argument("--qmax", type=int, default=cfg.q_max)
     parser.add_argument("--target", default=cfg.target)
-    parser.add_argument("--jobs", type=int, default=cfg.jobs)
     parser.add_argument("--out-dir", type=Path, default=cfg.out_dir)
     args = parser.parse_args()
     try:
@@ -56,8 +54,7 @@ def main() -> int:
     ideal = IntegerIdeal.from_strings(args.gens, args.n)
     target = parse_rational(args.target) if args.target else None
     issues = []
-    records = sweep(ideal, primes, args.qmax,
-                    jobs=args.jobs, issues=issues)
+    records = sweep(ideal, primes, args.qmax, issues=issues)
     for issue in issues:
         print(f"warning: p={issue.p} skipped ({issue.kind})", file=sys.stderr)
     report = convergence_report(records, target)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fthresholds.exact import format_rational
+from fthresholds.exact import format_rational, parse_primes
 from fthresholds.experiment import largest_exponent
 from fthresholds.frobenius import fpt_enclosure
 from fthresholds.reduction import IntegerIdeal, reduce_mod_p, truncate_ideal
@@ -45,13 +45,16 @@ def main() -> int:
     parser.add_argument("--dmin", type=int, default=cfg.d_min)
     parser.add_argument("--dmax", type=int, default=cfg.d_max)
     args = parser.parse_args()
+    try:
+        primes = parse_primes(args.primes)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     model = IntegerIdeal.from_strings(args.gens, args.n)
     all_ok = True
     print(f"{'p':>4} {'e':>2} {'d':>3} {'base low':>14} {'trunc low':>14} "
           f"{'gap':>12} {'bound n/d':>10} {'ok':>3}")
-    for p_text in args.primes.split(","):
-        p = int(p_text)
+    for p in primes:
         e = largest_exponent(p, args.qmax)
         if e is None:
             continue

@@ -130,7 +130,7 @@ def _cmd_sweep(args) -> int:
     primes = parse_primes(args.primes)
     target = parse_rational(args.target) if args.target else None
     issues: list[SweepIssue] = []
-    records = sweep(ideal, primes, args.qmax, jobs=args.jobs, issues=issues)
+    records = sweep(ideal, primes, args.qmax, issues=issues)
     for issue in issues:
         print(f"warning: p={issue.p} skipped ({issue.kind}): {issue.message}",
               file=sys.stderr)
@@ -229,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--target", default=None, help='known lct "n/d" (optional)')
     p_sweep.add_argument("--out", default=None, help="report path")
     p_sweep.add_argument("--format", choices=["csv", "json"], default="json")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="concurrent sweep items")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_corpus = sub.add_parser("corpus", help="print the known-lct corpus")

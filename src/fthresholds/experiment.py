@@ -2,7 +2,7 @@
 
 For each prime the sweep uses the largest exponent e with p^e <= q_max,
 computes the enclosure of the reduced ideal, and emits records sorted by
-(p, e) so output bytes are independent of scheduling.  Reports never round:
+(p, e) so output bytes are independent of the order of the primes.  Reports never round:
 gaps and flags are exact rational statements.
 
 JSON reports deliberately omit elapsed_ms so that repeated runs are
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -65,7 +64,7 @@ def largest_exponent(p: int, q_max: int) -> int | None:
     return e
 
 
-def sweep(ideal: IntegerIdeal, primes: list[int], q_max: int, *, jobs: int = 1,
+def sweep(ideal: IntegerIdeal, primes: list[int], q_max: int, *,
           issues: list[SweepIssue] | None = None) -> list[SweepRecord]:
     """One enclosure record per usable prime, sorted by (p, e).
 
@@ -95,14 +94,8 @@ def sweep(ideal: IntegerIdeal, primes: list[int], q_max: int, *, jobs: int = 1,
         return SweepRecord(p=p, e=e, nu=enc.nu, low=enc.low, high=enc.high,
                            elapsed_ms=elapsed)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, primes))
-    else:
-        results = [work(p) for p in primes]
-
     records = []
-    for res in results:
+    for res in map(work, primes):
         if isinstance(res, SweepRecord):
             records.append(res)
         else:

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import CapacityError, DomainError, InvariantViolation
 from .exact import PrimePower, farey_below, prime_power, simplest_between
-from .gfpoly import GFPoly, drl_key, echelonize, truncated_power_degrees
+from .gfpoly import GFPoly, drl_key, echelonize, monomials_ascending, truncated_powers
 from .groebner import Ideal, MonomialIdeal, ideal_equal
 from .newton import multiplier_ideal_monomial
 
@@ -182,81 +182,89 @@ def _nu_principal(f: GFPoly, e: int) -> int:
     return value
 
 
-def _full_max_power_degree(points: list[tuple], n: int) -> int | None:
-    """If `points` is exactly the degree-d antichain of m^d, return d."""
-    if not points:
-        return None
-    degs = {sum(m) for m in points}
-    if len(degs) != 1:
-        return None
-    d = degs.pop()
-    if d < 1:
-        return None
-    expected = math.comb(d + n - 1, n - 1)
-    return d if len(set(points)) == expected else None
+class _MonomialPacking:
+    """nu_M(b): the most generators of a monomial ideal M, counted with
+    repetition, whose exponent sum v satisfies v <= b componentwise.
 
-
-def _nu_mixed(f: GFPoly, d: int, qv: int, term_cap: int) -> int:
-    """nu for (f) + m^d.
-
-    Every generator product is f^i * x^v with |v| = d*j, and any v >= 0 with
-    |v| = d*j is a sum of j degree-d monomials.  Such a product survives iff
-    some surviving term x^c of the truncated f^i fits under the box:
-    c + v <= (q-1, ..., q-1) componentwise, which is possible iff
-    d*j <= n(q-1) - |c|.  So for each i only the minimal total degree among
-    surviving terms of f^i matters.
+    Branch-and-bound over the generator counts, generators taken by ascending
+    degree, counts from the largest down.  A child is cut before it is visited
+    when its count plus the rest of the degree budget over the least remaining
+    degree cannot beat the best found; no such bound exceeds the root bound
+    |b| // (least degree), so a solve ends as soon as the best reaches it.
+    The generators are prepared once; `node_cap` bounds the nodes of all the
+    solves together.
     """
-    limit = f.n * (qv - 1)
-    best = limit // d  # i = 0: the empty f-part
-    for i, (size, mindeg) in enumerate(truncated_power_degrees(f, qv), start=1):
-        if size > term_cap:
-            raise CapacityError(f"term-set cap of {term_cap} exceeded in mixed nu")
-        best = max(best, i + (limit - mindeg) // d)
-    return best
+
+    def __init__(self, points: list[tuple], node_cap: int):
+        self.gens = sorted(set(points), key=lambda m: (sum(m), drl_key(m)))
+        self.degs = [sum(m) for m in self.gens]
+        self.min_degree = self.degs[0]
+        self.node_cap = node_cap
+        self.nodes = 0
+
+    def solve(self, budget: tuple) -> int:
+        gens, degs = self.gens, self.degs
+        last = len(gens) - 1
+        best = 0
+
+        def rec(i: int, count: int, budget: tuple, rem: int):
+            nonlocal best
+            self.nodes += 1
+            if self.nodes > self.node_cap:
+                raise CapacityError(f"node cap of {self.node_cap} exceeded in monomial nu")
+            v = gens[i]
+            cmax = min(b // x for b, x in zip(budget, v) if x)
+            if i == last:
+                best = max(best, count + cmax)
+                return
+            d, d_next = degs[i], degs[i + 1]
+            for c in range(cmax, -1, -1):
+                # The bound is nondecreasing in c since d <= d_next.
+                if count + c + (rem - c * d) // d_next <= best:
+                    return
+                rec(i + 1, count + c, tuple(b - c * x for b, x in zip(budget, v)), rem - c * d)
+
+        rec(0, 0, budget, sum(budget))
+        return best
 
 
-def _nu_monomial(points: list[tuple], qv: int, n: int, node_cap: int) -> int:
-    """Exact nu for a monomial ideal by bounded branch-and-bound.
+def _nu_split(f: GFPoly | None, points: list[tuple], n: int, p: int, e: int,
+              term_cap: int, node_cap: int) -> int:
+    """nu for (f) + M, M generated by the monomials `points` (f = None: M alone).
 
-    Maximizes the number of generator factors c_1 + ... + c_k subject to
-    sum_i c_i * v_i <= (q-1, ..., q-1): a product of monomial generators
-    escapes m^[q] exactly when every coordinate stays below q.
+    A generator product f^i x^mu, with mu a sum of j generators of M, lies
+    outside m^[q] iff some term x^c of f^i has c + mu <= q - 1 componentwise:
+    multiplying by a monomial cancels nothing.  Those c are the terms of the
+    truncated power T_i, so nu = max over i and c in T_i of i + nu_M(q - 1 - c).
+    Terms are scanned by ascending degree while i + (n(q-1) - |c|) // (least
+    degree of M), an upper bound for the rest of T_i, can beat the best.  For
+    M = m^d that bound is nu_M itself, so one solve per i suffices.  The same
+    bound on a lower bound for the degrees of T_i decides whether T_i is built.
     """
-    gens = sorted(set(points), key=lambda m: (sum(m), drl_key(m)))
-    degs = [sum(m) for m in gens]
-    suffix_min = [0] * len(gens)
-    running = None
-    for i in range(len(gens) - 1, -1, -1):
-        running = degs[i] if running is None else min(running, degs[i])
-        suffix_min[i] = running
+    qv = p**e
+    packing = _MonomialPacking(points, node_cap)
+    mdeg = packing.min_degree
+    limit = n * (qv - 1)
     best = 0
-    nodes = 0
 
-    def rec(i: int, count: int, budget: tuple, rem: int):
-        nonlocal best, nodes
-        nodes += 1
-        if nodes > node_cap:
-            raise CapacityError(f"node cap of {node_cap} exceeded in monomial nu")
-        if count > best:
-            best = count
-        if i == len(gens):
-            return
-        if count + rem // suffix_min[i] <= best:
-            return
-        v = gens[i]
-        cmax = min(budget[t] // v[t] for t in range(n) if v[t] > 0)
-        for c in range(cmax, -1, -1):
-            nb = tuple(budget[t] - c * v[t] for t in range(n))
-            rec(i + 1, count + c, nb, rem - c * degs[i])
+    def wanted(i: int, low: int) -> bool:
+        return i + (limit - low) // mdeg > best
 
-    rec(0, 0, (qv - 1,) * n, n * (qv - 1))
+    powers = [GFPoly.one(n, p)] if f is None else truncated_powers(f, e, term_cap, wanted)
+    for i, t in enumerate(powers):
+        if t is None:
+            continue
+        for c in monomials_ascending(t):
+            if not wanted(i, sum(c)):
+                break
+            best = max(best, i + packing.solve(tuple(qv - 1 - x for x in c)))
     return best
 
 
 def _nu_dp(gens: list[GFPoly], qv: int, term_cap: int) -> int:
     """Reference path: level sets of deduplicated q-truncated generator products."""
     truncated = [g.truncate(qv) for g in gens]
-    level = sorted({g for g in truncated if not g.is_zero}, key=_poly_sort_key)
+    level = {g for g in truncated if not g.is_zero}
     r = 0
     while level:
         r += 1
@@ -268,7 +276,7 @@ def _nu_dp(gens: list[GFPoly], qv: int, term_cap: int) -> int:
                     seen.add(prod)
         if len(seen) > term_cap:
             raise CapacityError(f"term-set cap of {term_cap} exceeded in nu DP")
-        level = sorted(seen, key=_poly_sort_key)
+        level = seen
     return r
 
 
@@ -276,9 +284,16 @@ def nu(a: Ideal, e: int, *, method: str = "auto", term_cap: int = DEFAULT_DP_CAP
        node_cap: int = DEFAULT_NODE_CAP) -> NuValue:
     """The largest r with a^r not contained in m^[p^e] (convention: 0 for a = (0)).
 
-    Requires every generator to vanish at the origin.  Dispatches to exact
-    fast paths (monomial, principal, principal + power of the maximal ideal)
-    and falls back to the deduplicated product DP otherwise.
+    Requires every generator to vanish at the origin.  Three exact routes, by
+    the number of generators that are not monomials:
+
+      * one, and no monomials: the principal digit window (_nu_principal);
+      * at most one, with monomials: the Frobenius-split route (_nu_split) for
+        (f) + M, truncated powers of f against a branch-and-bound over the
+        monomials M; term_cap bounds each power, node_cap the search;
+      * two or more: the deduplicated product DP (_nu_dp), capped by term_cap.
+
+    method="dp" sends every ideal to the DP, as a reference.
     """
     q = prime_power(a.p, e)
     for g in a.gens:
@@ -290,22 +305,15 @@ def nu(a: Ideal, e: int, *, method: str = "auto", term_cap: int = DEFAULT_DP_CAP
         return NuValue(q, _nu_dp(list(a.gens), q.q, term_cap))
     if method != "auto":
         raise DomainError(f"unknown nu method {method!r}")
-    monos = [g for g in a.gens if g.is_monomial()]
+    monos = [g.lead_monomial() for g in a.gens if g.is_monomial()]
     others = [g for g in a.gens if not g.is_monomial()]
-    if not others:
-        value = _nu_monomial([g.lead_monomial() for g in monos], q.q, a.n, node_cap)
-    elif len(others) == 1:
-        f = others[0]
-        if not monos:
-            value = _nu_principal(f, e)
-        else:
-            d = _full_max_power_degree([g.lead_monomial() for g in monos], a.n)
-            if d is not None:
-                value = _nu_mixed(f, d, q.q, term_cap)
-            else:
-                value = _nu_dp(list(a.gens), q.q, term_cap)
-    else:
+    if len(others) > 1:
         value = _nu_dp(list(a.gens), q.q, term_cap)
+    elif not monos:
+        value = _nu_principal(others[0], e)
+    else:
+        f = others[0] if others else None
+        value = _nu_split(f, monos, a.n, a.p, e, term_cap, node_cap)
     return NuValue(q, value)
 
 

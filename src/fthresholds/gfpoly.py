@@ -39,9 +39,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .exact import PrimePower, is_prime
 
 EXPONENT_LIMIT = 2**32
@@ -559,32 +559,69 @@ def echelonize(polys: Iterable[GFPoly], n: int, p: int) -> list[GFPoly]:
     return [GFPoly(n, p, pivots[m]) for m in sorted(pivots, reverse=True)]
 
 
-def truncated_power_degrees(f: GFPoly, bound: int) -> Iterator[tuple[int, int]]:
-    """For i = 1, 2, ...: (term count, least total degree) of f^i computed with
-    every term having some exponent >= bound dropped after each factor.
+def truncated_powers(f: GFPoly, e: int, term_cap: int,
+                     wanted: Callable[[int, int], bool]) -> Iterator[GFPoly | None]:
+    """T_0, T_1, ..., T_K: T_k is f^k with every term having some exponent
+    >= p^e dropped, and T_K the last nonzero one.  f must vanish at the origin
+    and e be at least 1.
 
-    Stops at the first i whose truncated power is zero.
+    f^k lies outside m^[p^e] iff T_k is nonzero; that holds for a prefix of k,
+    and only for k < p^e since f^p = f^[p] lies in m^[p].  The powers are built
+    one level L = 1..e at a time by the Frobenius split f^(a + p b) = f^a (f^b)^[p]
+    with 0 <= a < p: T_(a + p b) at level L is trunc_(p^L)(f^a * T_b^[p]) for T_b
+    of level L - 1.  That is exact: a term of (f^b)^[p] leaves the box p^L iff
+    its term of f^b leaves the box p^(L-1), and products only raise exponents.
+    The levels below e are built in full; level e is yielded as it is built.
+
+    A product T_k of level e is built only if wanted(k, low) is true, where
+    low is a lower bound for the total degree of its terms; None is yielded in
+    its place otherwise.  Raises CapacityError when some T_k has more than
+    term_cap terms.
     """
+    if not f.vanishes_at_origin():
+        raise DomainError("truncated powers need f to vanish at the origin")
     n, p = f.n, f.p
+    qv = p**e
+    one = GFPoly.one(n, p)
+    small = [one]  # trunc_q(f^a) for a < p
+    for _ in range(p - 1):
+        small.append(small[-1].mul_truncated(f, qv))
+    level = [one]
+    for L in range(1, e):
+        level = list(_split_level(level, small, p**L, term_cap, None))
+    return _split_level(level, small, qv, term_cap, wanted)
+
+
+def _split_level(level: list[GFPoly], small: list[GFPoly], bound: int, term_cap: int,
+                 wanted: Callable[[int, int], bool] | None) -> Iterator[GFPoly | None]:
+    """T_0, T_1, ... in the box `bound` from the T_b in the box bound / p, up to
+    the first zero; small[a] is f^a, possibly truncated above `bound`."""
+    p = len(small)
+    factors = [s.truncate(bound) for s in small[1:]]
+    for b, t in enumerate(level):
+        lifted = t.frobenius_power(p)  # already inside the box
+        yield lifted
+        low = p * t.min_degree()
+        for a, fa in enumerate(factors, start=1):
+            if fa.is_zero:
+                return
+            if wanted is not None and not wanted(a + p * b, low + fa.min_degree()):
+                yield None
+                continue
+            prod = fa.mul_truncated(lifted, bound)
+            if prod.is_zero:
+                return
+            if len(prod._terms) > term_cap:
+                raise CapacityError(f"term cap of {term_cap} exceeded in a truncated power")
+            yield prod
+
+
+def monomials_ascending(f: GFPoly) -> Iterator[Monomial]:
+    """The monomials of f in ascending degrevlex order, hence by ascending total
+    degree, each decoded only when it is reached."""
+    n = f.n
     w = _width(n)
-    top = (n - 1) * w
-    fields, bias, guards = _box(bound, n, w)
-    fterms = list(f._terms.items())
-    cur = {0: 1}
-    while True:
-        nxt: dict = {}
-        get = nxt.get
-        for m, c in cur.items():
-            for fm, fc in fterms:
-                mm = m + fm
-                if (mm - ((mm << w) & fields) + bias) & guards:
-                    continue
-                nxt[mm] = (get(mm, 0) + c * fc) % p
-        cur = _drop_zeros(nxt)
-        if not cur:
-            return
-        _check_range(cur, n, w)
-        yield len(cur), min(cur) >> top
+    return (_unpack(k, n, w) for k in sorted(f._terms))
 
 
 def poly_pow_truncated(f: GFPoly, r: int, q: PrimePower) -> GFPoly:

@@ -222,16 +222,14 @@ def test_criterion_8_principal_power_root_oracle():
 
 
 def test_criterion_9_determinism(tmp_path: Path):
-    """Criterion-3 sweeps through the CLI with --jobs 1 and --jobs 4 emit
-    byte-identical reports, run to run."""
+    """Three criterion-3 sweeps through the CLI emit byte-identical reports."""
     t0 = time.perf_counter()
     outputs = []
-    for run_idx, jobs in enumerate(["1", "4", "1"]):
+    for run_idx in range(3):
         out = tmp_path / f"report_{run_idx}.json"
         code = dispatch([
             "sweep", "--gens", "x^2+y^3", "-n", "2", "--primes", "5..47",
-            "--qmax", "100000", "--target", "5/6", "--jobs", jobs,
-            "--out", str(out),
+            "--qmax", "100000", "--target", "5/6", "--out", str(out),
         ])
         assert code == 0
         outputs.append(out.read_bytes())

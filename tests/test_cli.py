@@ -110,6 +110,15 @@ def test_sweep_rejects_non_prime(tmp_path: Path, capsys):
     assert "9 is not prime" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_truncation_table_rejects_non_prime():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_truncation_table.py"
+    proc = subprocess.run([sys.executable, str(script), "--primes", "5,9"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "9 is not prime" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_parse_print_parse_roundtrip(capsys):
     # the froot output is in the same grammar the commands accept
     code, out = run(capsys, "froot", "--gens", "x^7+y^7", "-n", "2", "-p", "7", "-e", "1")

@@ -117,8 +117,8 @@ def test_sweep_order_independent_bytes(tmp_path: Path):
     assert report_to_json(rep1) == report_to_json(rep2)
 
 
-def test_sweep_jobs_identical_records():
-    seq = sweep(cusp(), [5, 7, 11], 1000, jobs=1)
-    par = sweep(cusp(), [5, 7, 11], 1000, jobs=4)
+def test_sweep_repeat_identical_records():
+    first = sweep(cusp(), [5, 7, 11], 1000)
+    second = sweep(cusp(), [5, 7, 11], 1000)
     strip = lambda rs: [(r.p, r.e, r.nu, r.low, r.high) for r in rs]
-    assert strip(seq) == strip(par)
+    assert strip(first) == strip(second)

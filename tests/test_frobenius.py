@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fthresholds.errors import DomainError
+from fthresholds.errors import CapacityError, DomainError
 from fthresholds.exact import prime_power
 from fthresholds.frobenius import (
     bracket_power,
@@ -21,7 +21,7 @@ from fthresholds.frobenius import (
     proves_below_threshold,
 )
 from fthresholds.frobenius import test_ideal as tau_chain
-from fthresholds.gfpoly import GFPoly
+from fthresholds.gfpoly import GFPoly, truncated_powers
 from fthresholds.groebner import Ideal, MonomialIdeal, ideal_equal, ideal_member
 from fthresholds.parsing import parse_gfpoly
 from fthresholds.reduction import truncate_ideal
@@ -326,6 +326,87 @@ def test_nu_fast_paths_match_dp(seed):
         assert nu(I, e).nu == nu(I, e, method="dp").nu
 
 
+def _rand_split_ideal(rng: random.Random):
+    """(f) + M: f with at least two terms vanishing at 0, M one to three monomials."""
+    n = rng.choice([2, 3])
+    p = rng.choice([2, 3, 5])
+    e = rng.choice([e for e in (1, 2, 3) if p**e <= (27 if n == 2 else 9)])
+    f = GFPoly.zero(n, p)
+    while f.is_zero or f.is_monomial():
+        f = rand_gfpoly(rng, n, p, max_deg=3, max_terms=3, vanish=True)
+    pts = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 3))}
+    pts = [m for m in sorted(pts) if sum(m) > 0] or [(1,) * n]
+    gens = [f] + [GFPoly.from_monomial(m, n, p, rng.randint(1, p - 1)) for m in pts]
+    return Ideal(gens, n=n, p=p), e
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_nu_split_matches_dp(seed):
+    rng = random.Random(seed)
+    I, e = _rand_split_ideal(rng)
+    assert nu(I, e).nu == nu(I, e, method="dp").nu
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_truncated_powers_match_repeated_products(seed):
+    rng = random.Random(seed)
+    n = rng.choice([1, 2, 3])
+    p = rng.choice([2, 3, 5])
+    e = rng.choice([e for e in (1, 2, 3) if p**e <= (125 if n < 3 else 27)])
+    qv = p**e
+    f = rand_gfpoly(rng, n, p, max_deg=3, max_terms=4, vanish=True)
+    if f.is_zero:
+        return
+    chain = []
+    t = GFPoly.one(n, p)
+    while not t.is_zero:
+        chain.append(t)
+        t = t.mul_truncated(f, qv)
+    assert list(truncated_powers(f, e, 10**6, lambda k, low: True)) == chain
+    # Skipped products come back as None; the degree bound holds for the others.
+    skip = {k for k in range(len(chain)) if rng.random() < 0.5}
+    asked = {}
+
+    def wanted(k, low):
+        asked[k] = low
+        return k not in skip
+
+    got = list(truncated_powers(f, e, 10**6, wanted))
+    assert len(got) <= len(chain) + p
+    for k, t in enumerate(got):
+        if k >= len(chain):
+            assert t is None
+        elif k in asked and k in skip:
+            assert t is None
+        else:
+            assert t == chain[k]
+        if k in asked and k < len(chain):
+            assert asked[k] <= chain[k].min_degree()
+
+
+def test_nu_split_capacity():
+    m5 = truncate_ideal(cusp(7), 5)
+    with pytest.raises(CapacityError, match="term cap"):
+        nu(m5, 2, term_cap=3)
+    with pytest.raises(CapacityError, match="node cap"):
+        nu(ideal(["x^3", "y^4", "z^5"], n=3, p=7), 4, node_cap=100)
+    # One node count covers all the solves of a call; each solve here needs
+    # at most six nodes.
+    with pytest.raises(CapacityError, match="node cap"):
+        nu(m5, 4, node_cap=100)
+
+
+def test_nu_split_degree_cut():
+    # For (f) + m^d the degree bound is exact, so each truncated power costs
+    # one solve of at most d + 1 nodes: at most 2001 powers times 6 nodes here.
+    assert nu(truncate_ideal(cusp(7), 5), 4, node_cap=2001 * 6).nu == 2000
+    # The diagonal closed form sum (q-1) // a_i at q = 7^5, within the default
+    # node cap.
+    assert nu(ideal(["x^3", "y^4", "z^5"], n=3, p=7), 5).nu == 5602 + 4201 + 3361
+
+
 def test_fpt_point_certification():
     assert fpt_point(cusp(7), 2) == Fraction(5, 6)
     assert fpt_point(cusp(5), 3, e_max=5) == Fraction(4, 5)
@@ -362,8 +443,6 @@ def test_tau_general_route_matches_principal():
 
 
 def test_tau_expansion_capacity():
-    from fthresholds.errors import CapacityError
-
     a = ideal(["x^2 + y", "x*y + x"], p=5)
     with pytest.raises(CapacityError):
         tau_chain(a, Fraction(3, 2), 3, expansion_cap=2)
