@@ -14,8 +14,6 @@ Usage:
 
 import argparse
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -25,26 +23,15 @@ from fthresholds.experiment import convergence_report, emit, sweep
 from fthresholds.reduction import IntegerIdeal
 
 
-@dataclass
-class SweepConfig:
-    gens: str = "x^2 + y^3"
-    n: int = 2
-    primes: str = "5..47"
-    q_max: int = 10**5
-    target: str = "5/6"
-    out_dir: Path = Path("results")
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    cfg = SweepConfig()
-    parser.add_argument("--gens", default=cfg.gens)
-    parser.add_argument("-n", type=int, default=cfg.n)
-    parser.add_argument("--primes", default=cfg.primes)
-    parser.add_argument("--qmax", type=int, default=cfg.q_max)
-    parser.add_argument("--target", default=cfg.target)
-    parser.add_argument("--out-dir", type=Path, default=cfg.out_dir)
+    parser.add_argument("--gens", default="x^2 + y^3")
+    parser.add_argument("-n", type=int, default=2)
+    parser.add_argument("--primes", default="5..47")
+    parser.add_argument("--qmax", type=int, default=10**5)
+    parser.add_argument("--target", default="5/6")
+    parser.add_argument("--out-dir", type=Path, default=Path("results"))
     args = parser.parse_args()
     try:
         primes = parse_primes(args.primes)

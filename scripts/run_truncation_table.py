@@ -12,7 +12,6 @@ Usage:
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,26 +23,15 @@ from fthresholds.frobenius import fpt_enclosure
 from fthresholds.reduction import IntegerIdeal, reduce_mod_p, truncate_ideal
 
 
-@dataclass
-class TruncationConfig:
-    gens: str = "x^2 + y^3"
-    n: int = 2
-    primes: str = "7,13"
-    q_max: int = 10**4
-    d_min: int = 3
-    d_max: int = 8
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    cfg = TruncationConfig()
-    parser.add_argument("--gens", default=cfg.gens)
-    parser.add_argument("-n", type=int, default=cfg.n)
-    parser.add_argument("--primes", default=cfg.primes)
-    parser.add_argument("--qmax", type=int, default=cfg.q_max)
-    parser.add_argument("--dmin", type=int, default=cfg.d_min)
-    parser.add_argument("--dmax", type=int, default=cfg.d_max)
+    parser.add_argument("--gens", default="x^2 + y^3")
+    parser.add_argument("-n", type=int, default=2)
+    parser.add_argument("--primes", default="7,13")
+    parser.add_argument("--qmax", type=int, default=10**4)
+    parser.add_argument("--dmin", type=int, default=3)
+    parser.add_argument("--dmax", type=int, default=8)
     args = parser.parse_args()
     try:
         primes = parse_primes(args.primes)

@@ -3,16 +3,9 @@ threshold enclosures and test ideals over prime fields, plus log canonical
 thresholds and multiplier ideals of monomial ideals via exact linear
 programming, with a prime-sweep experiment harness."""
 
-from .exact import PrimePower, format_rational, parse_rational, prime_power, rational
+from .exact import PrimePower, format_rational, parse_rational, prime_power
 from .gfpoly import GFPoly, poly_pow_truncated
-from .groebner import (
-    Ideal,
-    MonomialIdeal,
-    buchberger,
-    ideal_equal,
-    ideal_member,
-    normal_form,
-)
+from .groebner import Ideal, MonomialIdeal, normal_form
 from .frobenius import (
     FptEnclosure,
     NuValue,
@@ -22,7 +15,6 @@ from .frobenius import (
     fpt_point,
     frobenius_root,
     frobenius_root_principal_power,
-    is_unit_ideal,
     nu,
     test_ideal,
 )
@@ -47,12 +39,12 @@ from .experiment import ConvergenceReport, SweepRecord, convergence_report, emit
 __version__ = "0.1.0"
 
 __all__ = [
-    "PrimePower", "format_rational", "parse_rational", "prime_power", "rational",
+    "PrimePower", "format_rational", "parse_rational", "prime_power",
     "GFPoly", "poly_pow_truncated",
-    "Ideal", "MonomialIdeal", "buchberger", "ideal_equal", "ideal_member", "normal_form",
+    "Ideal", "MonomialIdeal", "normal_form",
     "FptEnclosure", "NuValue", "TestIdealResult", "bracket_power", "fpt_enclosure",
-    "fpt_point", "frobenius_root", "frobenius_root_principal_power", "is_unit_ideal",
-    "nu", "test_ideal",
+    "fpt_point", "frobenius_root", "frobenius_root_principal_power", "nu",
+    "test_ideal",
     "INFINITY", "NewtonPolytope", "jumping_candidates", "lct_monomial",
     "multiplier_ideal_monomial", "newton_order",
     "CorpusEntry", "IntegerIdeal", "corpus", "reduce_mod_p", "truncate_ideal",

@@ -53,14 +53,6 @@ def parse_primes(text: str) -> list[int]:
     return primes
 
 
-def rational(num: int, den: int = 1) -> Fraction:
-    """Reduced fraction with positive denominator.
-
-    Raises ZeroDivisionError when den == 0.
-    """
-    return Fraction(num, den)
-
-
 def format_rational(q: Fraction) -> str:
     """Canonical serialized form "n/d", denominator always explicit."""
     q = Fraction(q)

@@ -10,9 +10,19 @@ Central facts used throughout (R = F_p[x_1..x_n], q = p^e, m = (x_1..x_n)):
   * Adjunction: b <= c^[q]  iff  b^[1/q] <= c.  In particular a^r lies outside
     m^[q] exactly when (a^r)^[1/q] is not contained in m, which is the
     membership kernel behind the nu computations at large q.
-  * For principal ideals, ((f^{pN'} * g))^[1/p] = f^{N'} * (g)^[1/p], so
-    (f^N)^[1/p^e] follows the base-p digits of N one level at a time without
-    ever expanding f^N.
+  * Digit identity.  Let a = (g_1..g_k), J any ideal, and t the largest
+    integer <= min(N, k(p-1)) with t = N (mod p).  Then
+
+        (a^N J)^[1/p] = a^((N-t)/p) (a^t J)^[1/p].
+
+    a^N is spanned by the products g^c with |c| = N.  Split c = p s + r with
+    r in [0, p)^k: (g^(ps) g^r J)^[1/p] = g^s (g^r J)^[1/p], |r| = N (mod p)
+    and |r| <= k(p-1).  As a X^[1/p] = (a^[p] X)^[1/p] lies in (a^p X)^[1/p],
+    the term of each |r| = t' lies in the term of t' + p, so the largest t
+    dominates and the left side lies in the right.  Conversely
+    (a^((N-t)/p))^[p] lies in a^(N-t), so the right side lies in the left.
+    Applied once per level, it gives (a^N)^[1/p^e] = a^M J' without ever
+    expanding a^N.  For k = 1, t is the last base-p digit of N.
 """
 
 from __future__ import annotations
@@ -24,12 +34,12 @@ from fractions import Fraction
 from .errors import CapacityError, DomainError, InvariantViolation
 from .exact import PrimePower, farey_below, prime_power, simplest_between
 from .gfpoly import GFPoly, drl_key, echelonize, monomials_ascending, truncated_powers
-from .groebner import Ideal, MonomialIdeal, ideal_equal
+from .groebner import Ideal, MonomialIdeal
 from .newton import multiplier_ideal_monomial
 
-DEFAULT_DP_CAP = 200_000
+DEFAULT_TERM_CAP = 200_000
 DEFAULT_NODE_CAP = 1_000_000
-DEFAULT_EXPANSION_CAP = 2_000
+POWER_TABLE_CAP = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -50,7 +60,9 @@ class FptEnclosure:
     the q'-th power at least nu+1 times, hence lies in (a^{nu+1})^[q'] which
     is inside m^[q q'].  Therefore nu(e+e')/p^(e+e') < (nu+k)/p^e for every
     e', and the threshold is at most high = (nu+k)/q.  For principal ideals
-    (k = 1) this is the classical width-1/q enclosure.
+    (k = 1) this is the classical width-1/q enclosure.  With q' = p, and
+    (a^nu)^[p] inside a^(p nu) for the lower end, it is the window
+    p nu(e) <= nu(e+1) <= p nu(e) + k(p-1) that the digit-root nu scans.
     """
 
     low: Fraction
@@ -93,10 +105,6 @@ def frobenius_root(b: Ideal, q: PrimePower) -> Ideal:
     return Ideal(gens, n=b.n, p=b.p)
 
 
-def _poly_sort_key(g: GFPoly):
-    return tuple(g.sorted_terms())
-
-
 def _root_step(polys: list[GFPoly], n: int, p: int) -> list[GFPoly]:
     """One-level Frobenius root of the ideal generated by `polys`, echelonized."""
     pieces: list[GFPoly] = []
@@ -105,18 +113,67 @@ def _root_step(polys: list[GFPoly], n: int, p: int) -> list[GFPoly]:
     return echelonize(pieces, n, p)
 
 
-def _principal_digit_root(fpowers: list[GFPoly], N: int, e: int) -> tuple[list[GFPoly], int]:
-    """Generators of (f^(N mod p^e))^[1/p^e] via base-p digits; returns residue N // p^e."""
-    f = fpowers[1]
-    n, p = f.n, f.p
-    J = [GFPoly.one(n, p)]
-    M = N
+def _ideal_powers(gens: list[GFPoly]) -> list[list[GFPoly]]:
+    """Spanning sets of a^t for t = 0..k(p-1), a = (gens) with k generators:
+    the bare powers f^t for k = 1, echelonized products otherwise.  Raises
+    CapacityError once the table holds more than POWER_TABLE_CAP terms."""
+    n, p = gens[0].n, gens[0].p
+    powers = [[GFPoly.one(n, p)]]
+    terms = 1
+    for t in range(1, len(gens) * (p - 1) + 1):
+        span = [h * g for h in powers[-1] for g in gens]
+        if len(gens) > 1:
+            span = echelonize(span, n, p)
+        terms += sum(len(h.terms) for h in span)
+        if terms > POWER_TABLE_CAP:
+            raise CapacityError(f"power table cap of {POWER_TABLE_CAP} terms exceeded "
+                                f"at a^{t} ({terms} terms)")
+        powers.append(span)
+    return powers
+
+
+def _digit_root(powers: list[list[GFPoly]], N: int, e: int) -> tuple[list[GFPoly], int]:
+    """(J, M) with (a^N)^[1/p^e] = a^M (J), from powers = _ideal_powers(gens of a):
+    the digit identity of the module docstring, once per level."""
+    one = powers[0][0]
+    n, p = one.n, one.p
+    top = len(powers) - 1
+    J, M = [one], N
     for _ in range(e):
-        d = M % p
-        M //= p
-        prods = J if d == 0 else [fpowers[d] * g for g in J]
+        t = min(M, top)
+        t -= (t - M) % p
+        prods = J if t == 0 else [h * g for h in powers[t] for g in J]
         J = _root_step(prods, n, p)
+        M = (M - t) // p
     return J, M
+
+
+def _times_power(gens: list[GFPoly], M: int, J: list[GFPoly]) -> list[GFPoly]:
+    """Generators of a^M (J), a = (gens)."""
+    if M == 0:
+        return J
+    if len(gens) == 1:
+        fM = gens[0].pow(M)
+        return [fM * g for g in J]
+    n, p = gens[0].n, gens[0].p
+    for _ in range(M):
+        J = echelonize([h * g for h in gens for g in J], n, p)
+    return J
+
+
+def _power_root(a: Ideal, N: int, q: PrimePower) -> Ideal:
+    """(a^N)^[1/q]: exponent floors for a monomial ideal with several
+    generators, the digit root for every other ideal."""
+    if N == 0:
+        return Ideal([GFPoly.one(a.n, a.p)], n=a.n, p=a.p)
+    if a.is_zero:
+        return Ideal([], n=a.n, p=a.p)
+    gens = list(a.gens)
+    if len(gens) > 1 and all(g.is_monomial() for g in gens):
+        mono = MonomialIdeal([g.lead_monomial() for g in gens], a.n)
+        return mono.pow(N).floor_root(q).to_ideal(a.p)
+    J, M = _digit_root(_ideal_powers(gens), N, q.e)
+    return Ideal(_times_power(gens, M, J), n=a.n, p=a.p)
 
 
 def frobenius_root_principal_power(f: GFPoly, N: int, q: PrimePower) -> Ideal:
@@ -125,60 +182,32 @@ def frobenius_root_principal_power(f: GFPoly, N: int, q: PrimePower) -> Ideal:
         raise DomainError("negative power")
     if f.p != q.p:
         raise DomainError(f"field characteristic {f.p} does not match q = {q}")
-    if N == 0:
-        return Ideal([GFPoly.one(f.n, f.p)], n=f.n, p=f.p)
-    if f.is_zero:
-        return Ideal([], n=f.n, p=f.p)
-    fpowers = _small_powers(f)
-    J, M = _principal_digit_root(fpowers, N, q.e)
-    if M:
-        fM = f.pow(M)
-        J = [fM * g for g in J]
-    return Ideal(J, n=f.n, p=f.p)
+    return _power_root(Ideal([f], n=f.n, p=f.p), N, q)
 
 
-def _small_powers(f: GFPoly) -> list[GFPoly]:
-    """[f^0, f^1, ..., f^(p-1)]."""
-    powers = [GFPoly.one(f.n, f.p)]
-    for _ in range(f.p - 1):
-        powers.append(powers[-1] * f)
-    return powers
+def _nu_root(gens: list[GFPoly], e: int) -> int:
+    """nu for any generators, by the digit root.
 
-
-def _outside_m(gens: list[GFPoly]) -> bool:
-    return any(g.constant_term() for g in gens)
-
-
-def _nu_principal(f: GFPoly, e: int) -> int:
-    """nu for a principal ideal via digit-root membership tests.
-
-    nu(1) is found by direct truncated probing (nu(1) <= n(p-1)); then each
-    level satisfies p*nu(l) <= nu(l+1) <= p*nu(l) + p - 1: the lower bound
-    because survival is preserved by p-th powers, the upper because
-    f^(nu+1) in m^[q] forces f^(p(nu+1)) into m^[pq].  The window is scanned
-    from the top; f^r lies outside m^[q] iff (f^r)^[1/q] has a generator with
-    nonzero constant term (adjunction against m).
+    nu(1) is the largest t <= k(p-1) such that some element of the spanning
+    set of a^t has a term in the box [0, p)^n: a^(k(p-1)+1) lies in a^[p],
+    inside m^[p].  Then p nu(l) <= nu(l+1) <= p nu(l) + k(p-1) (FptEnclosure
+    with q' = p), and the window is scanned from the top: a^r lies outside
+    m^[q] iff (a^r)^[1/q] = a^M (J) is not inside m (adjunction), that is iff
+    M = 0 and some generator of J has a nonzero constant term.
     """
-    p = f.p
-    fpowers = _small_powers(f)
-    value = 0
-    t = GFPoly.one(f.n, p).truncate(p)
-    while True:
-        t = t.mul_truncated(f, p)
-        if t.is_zero:
-            break
-        value += 1
+    p = gens[0].p
+    powers = _ideal_powers(gens)
+    top = len(powers) - 1
+    value = next(t for t in range(top, -1, -1)
+                 if any(not h.truncate(p).is_zero for h in powers[t]))
     for level in range(2, e + 1):
-        base = p * value
-        found = None
-        for s in range(p - 1, -1, -1):
-            gens, _ = _principal_digit_root(fpowers, base + s, level)
-            if _outside_m(gens):
-                found = base + s
+        for r in range(p * value + top, p * value - 1, -1):
+            J, M = _digit_root(powers, r, level)
+            if M == 0 and any(g.constant_term() for g in J):
+                value = r
                 break
-        if found is None:
-            raise InvariantViolation("principal nu window lost its lower bound")
-        value = found
+        else:
+            raise InvariantViolation("nu window lost its lower bound")
     return value
 
 
@@ -261,39 +290,18 @@ def _nu_split(f: GFPoly | None, points: list[tuple], n: int, p: int, e: int,
     return best
 
 
-def _nu_dp(gens: list[GFPoly], qv: int, term_cap: int) -> int:
-    """Reference path: level sets of deduplicated q-truncated generator products."""
-    truncated = [g.truncate(qv) for g in gens]
-    level = {g for g in truncated if not g.is_zero}
-    r = 0
-    while level:
-        r += 1
-        seen = set()
-        for u in level:
-            for g in truncated:
-                prod = u.mul_truncated(g, qv)
-                if not prod.is_zero:
-                    seen.add(prod)
-        if len(seen) > term_cap:
-            raise CapacityError(f"term-set cap of {term_cap} exceeded in nu DP")
-        level = seen
-    return r
-
-
-def nu(a: Ideal, e: int, *, method: str = "auto", term_cap: int = DEFAULT_DP_CAP,
+def nu(a: Ideal, e: int, *, term_cap: int = DEFAULT_TERM_CAP,
        node_cap: int = DEFAULT_NODE_CAP) -> NuValue:
     """The largest r with a^r not contained in m^[p^e] (convention: 0 for a = (0)).
 
-    Requires every generator to vanish at the origin.  Three exact routes, by
-    the number of generators that are not monomials:
+    Requires every generator to vanish at the origin.  Two exact routes:
 
-      * one, and no monomials: the principal digit window (_nu_principal);
-      * at most one, with monomials: the Frobenius-split route (_nu_split) for
-        (f) + M, truncated powers of f against a branch-and-bound over the
-        monomials M; term_cap bounds each power, node_cap the search;
-      * two or more: the deduplicated product DP (_nu_dp), capped by term_cap.
-
-    method="dp" sends every ideal to the DP, as a reference.
+      * at most one generator that is not a monomial, and at least one
+        monomial: the Frobenius-split route (_nu_split) for (f) + M, truncated
+        powers of f against a branch-and-bound over the monomials M; term_cap
+        bounds each power, node_cap the search;
+      * every other ideal: the digit root (_nu_root), one Frobenius root per
+        level over a table of a^t, t <= k(p-1), capped by POWER_TABLE_CAP.
     """
     q = prime_power(a.p, e)
     for g in a.gens:
@@ -301,19 +309,13 @@ def nu(a: Ideal, e: int, *, method: str = "auto", term_cap: int = DEFAULT_DP_CAP
             raise DomainError("nu requires generators vanishing at the origin")
     if a.is_zero:
         return NuValue(q, 0)
-    if method == "dp":
-        return NuValue(q, _nu_dp(list(a.gens), q.q, term_cap))
-    if method != "auto":
-        raise DomainError(f"unknown nu method {method!r}")
     monos = [g.lead_monomial() for g in a.gens if g.is_monomial()]
     others = [g for g in a.gens if not g.is_monomial()]
-    if len(others) > 1:
-        value = _nu_dp(list(a.gens), q.q, term_cap)
-    elif not monos:
-        value = _nu_principal(others[0], e)
-    else:
+    if monos and len(others) <= 1:
         f = others[0] if others else None
         value = _nu_split(f, monos, a.n, a.p, e, term_cap, node_cap)
+    else:
+        value = _nu_root(list(a.gens), e)
     return NuValue(q, value)
 
 
@@ -324,38 +326,6 @@ def fpt_enclosure(a: Ideal, e: int, **caps) -> FptEnclosure:
     low = Fraction(nv.nu, nv.q.q)
     high = Fraction(nv.nu + k, nv.q.q)
     return FptEnclosure(low=low, high=high, q=nv.q, nu=nv.nu, ngens=k)
-
-
-def _monomial_power_root(points: list[tuple], n: int, p: int, N: int, q: PrimePower) -> Ideal:
-    a = MonomialIdeal(points, n)
-    return a.pow(N).floor_root(q).to_ideal(p)
-
-
-def _expanded_power_root(gens: list[GFPoly], n: int, p: int, N: int, q: PrimePower,
-                         cap: int) -> Ideal:
-    prods = {GFPoly.one(n, p)}
-    for _ in range(N):
-        nxt = set()
-        for u in prods:
-            for g in gens:
-                nxt.add(u * g)
-                if len(nxt) > cap:
-                    raise CapacityError(f"power expansion cap of {cap} exceeded")
-        prods = nxt
-    return frobenius_root(Ideal(sorted(prods, key=_poly_sort_key), n=n, p=p), q)
-
-
-def _power_root(a: Ideal, N: int, q: PrimePower, cap: int) -> Ideal:
-    """(a^N)^[1/q] along the cheapest applicable route."""
-    if N == 0:
-        return Ideal([GFPoly.one(a.n, a.p)], n=a.n, p=a.p)
-    if a.is_zero:
-        return Ideal([], n=a.n, p=a.p)
-    if len(a.gens) == 1:
-        return frobenius_root_principal_power(a.gens[0], N, q)
-    if all(g.is_monomial() for g in a.gens):
-        return _monomial_power_root([g.lead_monomial() for g in a.gens], a.n, a.p, N, q)
-    return _expanded_power_root(list(a.gens), a.n, a.p, N, q, cap)
 
 
 def _denominator_period(lam: Fraction, p: int, t_max: int) -> tuple[int, int | None]:
@@ -377,8 +347,7 @@ def _denominator_period(lam: Fraction, p: int, t_max: int) -> tuple[int, int | N
     return s, t
 
 
-def _principal_chain_is_final(a: Ideal, lam: Fraction, e: int, cap: int,
-                              chain: dict) -> bool:
+def _principal_chain_is_final(a: Ideal, lam: Fraction, e: int, chain: dict) -> bool:
     """Whether the level-e chain term of a principal ideal (f) is tau(f^lam).
 
     For lam = u/p^s every term from level s on is (f^u)^[1/p^s], which is
@@ -404,13 +373,12 @@ def _principal_chain_is_final(a: Ideal, lam: Fraction, e: int, cap: int,
         N = math.ceil(lam * a.p**(s + j * t))
         if j == 0:
             return Ideal([a.gens[0].pow(N)], n=a.n, p=a.p)
-        return _power_root(a, N, prime_power(a.p, j * t), cap)
+        return _power_root(a, N, prime_power(a.p, j * t))
 
-    return ideal_equal(K(k - 1), K(k))
+    return K(k - 1).equals(K(k))
 
 
-def test_ideal(a: Ideal, lam: Fraction, e_max: int,
-               expansion_cap: int = DEFAULT_EXPANSION_CAP) -> TestIdealResult:
+def test_ideal(a: Ideal, lam: Fraction, e_max: int) -> TestIdealResult:
     """tau(a^lam) via the ascending chain I_e = (a^ceil(lam p^e))^[1/p^e].
 
     The chain is verified ascending at every step and reaches tau(a^lam).  It
@@ -435,27 +403,22 @@ def test_ideal(a: Ideal, lam: Fraction, e_max: int,
     for e in range(1, e_max + 1):
         q = prime_power(a.p, e)
         N = math.ceil(lam * q.q)
-        current = _power_root(a, N, q, expansion_cap)
+        current = _power_root(a, N, q)
         chain[e] = current
         if prev is not None and not current.contains_ideal(prev):
             raise InvariantViolation("test ideal chain is not ascending")
         if current.is_unit() or a.is_zero:
             return TestIdealResult(current, lam, e, True)
-        if len(a.gens) == 1 and _principal_chain_is_final(a, lam, e, expansion_cap, chain):
+        if len(a.gens) == 1 and _principal_chain_is_final(a, lam, e, chain):
             return TestIdealResult(current, lam, e, True)
         if monomial:
             if howald is None:
                 points = [g.lead_monomial() for g in a.gens]
                 howald = multiplier_ideal_monomial(MonomialIdeal(points, a.n), lam).to_ideal(a.p)
-            if ideal_equal(current, howald):
+            if current.equals(howald):
                 return TestIdealResult(current, lam, e, True)
         prev = current
     return TestIdealResult(prev, lam, e_max, False)
-
-
-def is_unit_ideal(I: Ideal) -> bool:
-    """True iff 1 lies in I (the reduced GB contains a nonzero constant)."""
-    return I.is_unit()
 
 
 def proves_below_threshold(a: Ideal, lam: Fraction, e_max: int) -> bool:

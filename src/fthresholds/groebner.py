@@ -155,20 +155,6 @@ class Ideal:
         return f"Ideal({self.to_strings()}, n={self.n}, p={self.p})"
 
 
-def buchberger(I: Ideal) -> Ideal:
-    """Compute and cache the reduced Groebner basis of I; returns I."""
-    I.groebner_basis()
-    return I
-
-
-def ideal_member(f: GFPoly, I: Ideal) -> bool:
-    return I.contains(f)
-
-
-def ideal_equal(I: Ideal, J: Ideal) -> bool:
-    return I.equals(J)
-
-
 def minimize_points(points: Iterable[Monomial]) -> tuple[Monomial, ...]:
     """Antichain of minimal exponent vectors under componentwise <=."""
     pts = set(tuple(p) for p in points)

@@ -1,8 +1,10 @@
 """Shared helpers: random generators and independent brute-force oracles.
 
 The oracles here deliberately avoid the code paths they check: truncation is
-applied only once at the end, ideal powers are expanded as explicit products,
-and binomial survival is decided with exact binomial coefficients.
+applied only once at the end (nu_dp truncates each product, which drops only
+terms that no later factor can bring back), ideal powers are expanded as
+explicit products, and binomial survival is decided with exact binomial
+coefficients.
 """
 
 import itertools
@@ -62,6 +64,31 @@ def nu_bruteforce(gens: list[GFPoly], qv: int) -> int:
             return best
         best = r
         r += 1
+
+
+def nu_dp(gens: list[GFPoly], qv: int) -> int:
+    """nu by level sets of deduplicated q-truncated generator products.
+
+    Level r holds every nonzero truncation of a product of r generators;
+    nu is the last r with a nonempty level.
+    """
+    truncated = [g.truncate(qv) for g in gens]
+    level = {g for g in truncated if not g.is_zero}
+    r = 0
+    while level:
+        r += 1
+        level = {prod for u in level for g in truncated
+                 if not (prod := u.mul_truncated(g, qv)).is_zero}
+    return r
+
+
+def expanded_power(gens: list[GFPoly], N: int) -> list[GFPoly]:
+    """The distinct products of N generators, each expanded in full."""
+    n, p = gens[0].n, gens[0].p
+    prods = {GFPoly.one(n, p)}
+    for _ in range(N):
+        prods = {u * g for u in prods for g in gens}
+    return list(prods)
 
 
 def cusp_nu_oracle(p: int, e: int) -> int:

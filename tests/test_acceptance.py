@@ -22,7 +22,7 @@ from fthresholds.frobenius import (
     test_ideal as tau_chain,
 )
 from fthresholds.gfpoly import GFPoly
-from fthresholds.groebner import Ideal, MonomialIdeal, ideal_equal
+from fthresholds.groebner import Ideal, MonomialIdeal
 from fthresholds.lp import OPTIMAL
 from fthresholds.newton import NewtonPolytope, lct_monomial, newton_order, order_lp
 from fthresholds.reduction import IntegerIdeal, reduce_mod_p, truncate_ideal
@@ -144,7 +144,7 @@ def test_criterion_5_test_ideal_spot_values():
     half = tau_chain(a, Fraction(1, 2), 3)
     assert half.ideal.is_unit()
     five_sixths = tau_chain(a, Fraction(5, 6), 3)
-    assert ideal_equal(five_sixths.ideal, Ideal.from_strings(["x", "y"], 2, 7))
+    assert five_sixths.ideal.equals(Ideal.from_strings(["x", "y"], 2, 7))
     assert five_sixths.stabilized and five_sixths.e_used <= 3
     _report(5, "test-ideal spot values", t0, 30)
 
@@ -216,7 +216,7 @@ def test_criterion_8_principal_power_root_oracle():
             for N in range(13):
                 fast = frobenius_root_principal_power(f, N, q)
                 slow = frobenius_root(Ideal([f.pow(N)], n=2, p=p), q)
-                assert ideal_equal(fast, slow), (str(f), p, e, N)
+                assert fast.equals(slow), (str(f), p, e, N)
         done += 1
     _report(8, "principal-power root oracle", t0, 60)
 

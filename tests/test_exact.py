@@ -14,25 +14,24 @@ from fthresholds.exact import (
     is_prime,
     parse_rational,
     prime_power,
-    rational,
     simplest_between,
 )
 
 
 def test_normalize_examples():
-    assert rational(10, -12) == Fraction(-5, 6)
-    assert rational(0, 7) == Fraction(0, 1)
-    assert rational(35, 42) == Fraction(5, 6)
+    assert Fraction(10, -12) == Fraction(-5, 6)
+    assert Fraction(0, 7) == Fraction(0, 1)
+    assert Fraction(35, 42) == Fraction(5, 6)
 
 
 def test_zero_denominator():
     with pytest.raises(ZeroDivisionError):
-        rational(1, 0)
+        Fraction(1, 0)
 
 
 @given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30).filter(lambda d: d != 0))
 def test_normalized_storage(n, d):
-    q = rational(n, d)
+    q = Fraction(n, d)
     assert q.denominator > 0
     from math import gcd
 

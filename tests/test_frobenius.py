@@ -8,25 +8,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fthresholds import frobenius
 from fthresholds.errors import CapacityError, DomainError
 from fthresholds.exact import prime_power
 from fthresholds.frobenius import (
+    _power_root,
     bracket_power,
     fpt_enclosure,
     fpt_point,
     frobenius_root,
     frobenius_root_principal_power,
-    is_unit_ideal,
     nu,
     proves_below_threshold,
 )
 from fthresholds.frobenius import test_ideal as tau_chain
 from fthresholds.gfpoly import GFPoly, truncated_powers
-from fthresholds.groebner import Ideal, MonomialIdeal, ideal_equal, ideal_member
+from fthresholds.groebner import Ideal, MonomialIdeal
 from fthresholds.parsing import parse_gfpoly
 from fthresholds.reduction import truncate_ideal
 
-from conftest import cusp_nu_oracle, nu_bruteforce, rand_gfpoly, rand_homogeneous
+from conftest import (
+    cusp_nu_oracle,
+    expanded_power,
+    nu_bruteforce,
+    nu_dp,
+    rand_gfpoly,
+    rand_homogeneous,
+)
+
+
+def ideal_equal(I, J):
+    return I.equals(J)
 
 
 def gf(text, n=2, p=5):
@@ -54,7 +66,7 @@ def test_frobenius_root_examples():
     q5 = prime_power(5, 1)
     assert ideal_equal(frobenius_root(ideal(["x^5*y^3"]), q5), ideal(["x"]))
     # x^5 y^3 really does lie in (x)^[5]
-    assert ideal_member(gf("x^5*y^3"), ideal(["x^5"]))
+    assert ideal(["x^5"]).contains(gf("x^5*y^3"))
     assert frobenius_root(ideal(["x^4"]), q5).is_unit()
     assert ideal_equal(frobenius_root(ideal(["x^5 + y^5"]), q5), ideal(["x + y"]))
     assert frobenius_root(Ideal([], n=2, p=5), q5).is_zero
@@ -206,7 +218,7 @@ def test_tau_monotone_in_lambda(seed):
 def test_test_ideal_spot_values():
     a = ideal(["x^2", "y^3"], p=7)
     half = tau_chain(a, Fraction(1, 2), 3)
-    assert half.ideal.is_unit() and is_unit_ideal(half.ideal)
+    assert half.ideal.is_unit()
     five_sixths = tau_chain(a, Fraction(5, 6), 3)
     assert ideal_equal(five_sixths.ideal, ideal(["x", "y"], p=7))
     assert five_sixths.stabilized and five_sixths.e_used <= 3
@@ -323,7 +335,7 @@ def test_nu_fast_paths_match_dp(seed):
         f = gf("x^2 + y^3", 2, p)
         I = truncate_ideal(Ideal([f], n=2, p=p), rng.randint(1, 4))
     for e in (1, 2):
-        assert nu(I, e).nu == nu(I, e, method="dp").nu
+        assert nu(I, e).nu == nu_dp(list(I.gens), p**e)
 
 
 def _rand_split_ideal(rng: random.Random):
@@ -345,7 +357,56 @@ def _rand_split_ideal(rng: random.Random):
 def test_nu_split_matches_dp(seed):
     rng = random.Random(seed)
     I, e = _rand_split_ideal(rng)
-    assert nu(I, e).nu == nu(I, e, method="dp").nu
+    assert nu(I, e).nu == nu_dp(list(I.gens), I.p**e)
+
+
+def _rand_root_ideal(rng: random.Random) -> Ideal:
+    """Two or three generators that are not monomials, all vanishing at 0,
+    and in half the cases one monomial more; k generators in all, with
+    k(p-1) <= 12 to bound the power table."""
+    n = rng.choice([2, 3])
+    k = rng.randint(2, 3)
+    mono = tuple(rng.randint(0, 3) for _ in range(n)) if rng.random() < 0.5 else (0,) * n
+    p = rng.choice([p for p in (2, 3, 5) if (k + (sum(mono) > 0)) * (p - 1) <= 12])
+    gens = []
+    while len(gens) < k:
+        g = rand_gfpoly(rng, n, p, max_deg=3, max_terms=3, vanish=True)
+        if not g.is_zero and not g.is_monomial():
+            gens.append(g)
+    if sum(mono):
+        gens.append(GFPoly.from_monomial(mono, n, p))
+    return Ideal(gens, n=n, p=p)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_nu_root_matches_dp(seed):
+    rng = random.Random(seed)
+    I = _rand_root_ideal(rng)
+    e = rng.choice([e for e in (1, 2, 3) if I.p**e <= (27 if I.n + len(I.gens) <= 5 else 9)])
+    assert nu(I, e).nu == nu_dp(list(I.gens), I.p**e)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_power_root_matches_expansion(seed):
+    """(a^N)^[1/q] by the digit root equals the root of the expanded power."""
+    rng = random.Random(seed)
+    a = _rand_root_ideal(rng)
+    q = prime_power(a.p, rng.choice([1, 2]))
+    N = rng.randint(0, min(2 * q.q, 12 if a.n == 2 else 8))
+    slow = frobenius_root(Ideal(expanded_power(list(a.gens), N), n=a.n, p=a.p), q)
+    assert _power_root(a, N, q).equals(slow)
+
+
+def test_digit_root_examples():
+    # Two generators that are not monomials; each case runs in under a second.
+    a = ideal(["x^2 + y^3", "x^3 + y^2"], p=7)
+    assert nu(a, 3).nu == 342
+    b = ideal(["x^2 + y^3", "x*y^2 + x^3*y"], p=7)
+    assert tau_chain(b, Fraction(5, 6), 6).ideal.equals(ideal(["x", "y"], p=7))
+    # nu(l+1) - p nu(l) reaches k(p-1) = 4 > p - 1 here, as for m = (x, y).
+    assert nu(ideal(["x + y^2", "y + x^2"], p=3), 2).nu == 16
 
 
 @given(st.integers(0, 10**6))
@@ -442,14 +503,18 @@ def test_tau_general_route_matches_principal():
             assert ideal_equal(t1.ideal, t2.ideal), (p, lam)
 
 
-def test_tau_expansion_capacity():
-    a = ideal(["x^2 + y", "x*y + x"], p=5)
-    with pytest.raises(CapacityError):
-        tau_chain(a, Fraction(3, 2), 3, expansion_cap=2)
+def test_power_table_capacity(monkeypatch):
+    # The table of a^t, t <= k(p-1), holds 1 + 2 + 3 + 4 + 5 = 15 terms up to a^4.
+    monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 15)
+    f = ideal(["x + y"], p=7)
+    with pytest.raises(CapacityError, match=r"at a\^5 \(21 terms\)"):
+        nu(f, 1)
+    with pytest.raises(CapacityError, match="power table cap of 15"):
+        tau_chain(ideal(["x^2 + y", "x*y + x"], p=5), Fraction(3, 2), 3)
 
 
 def test_tau_monomial_route():
-    # monomial ideals are exempt from the expansion cap; powers stay antichains
+    # monomial ideals take exponent floors; powers stay antichains
     a = ideal(["x^2", "y^3"], p=7)
-    res = tau_chain(a, Fraction(5, 6), 3, expansion_cap=1)
+    res = tau_chain(a, Fraction(5, 6), 3)
     assert ideal_equal(res.ideal, ideal(["x", "y"], p=7))

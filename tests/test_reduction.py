@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fthresholds.errors import DegenerateReductionError, DomainError
 from fthresholds.frobenius import fpt_enclosure
-from fthresholds.groebner import Ideal, MonomialIdeal, ideal_equal
+from fthresholds.groebner import Ideal, MonomialIdeal
 from fthresholds.newton import lct_monomial
 from fthresholds.parsing import parse_gfpoly
 from fthresholds.reduction import (
@@ -49,11 +49,11 @@ def test_truncate_examples():
     texts = [str(g) for g in t.gens]
     assert texts[0] == "y^3 + x^2"
     assert set(texts[1:]) == {"x^2", "x*y", "y^2"}
-    assert ideal_equal(t, Ideal.from_strings(["x^2", "x*y", "y^2", "y^3"], 2, 5))
+    assert t.equals(Ideal.from_strings(["x^2", "x*y", "y^2", "y^3"], 2, 5))
 
     zero = Ideal([], n=3, p=5)
     m = truncate_ideal(zero, 1)
-    assert ideal_equal(m, Ideal.from_strings(["x", "y", "z"], 3, 5))
+    assert m.equals(Ideal.from_strings(["x", "y", "z"], 3, 5))
 
     a5 = truncate_ideal(a, 1)
     assert a5.contains(parse_gfpoly("x", 2, 5))
@@ -83,7 +83,7 @@ def test_truncate_commutes_with_reduction(seed):
         second = reduce_mod_p(truncate_integer_ideal(I, d), p)
     except DegenerateReductionError:
         return
-    assert ideal_equal(first, second)
+    assert first.equals(second)
 
 
 def test_corpus_contents():
