@@ -1,10 +1,10 @@
 """Exact singularity invariants: Frobenius roots, nu-invariants, F-pure
 threshold enclosures and test ideals over prime fields, plus log canonical
-thresholds and multiplier ideals of monomial ideals via exact linear
-programming, with a prime-sweep experiment harness."""
+thresholds and multiplier ideals of monomial ideals, with a prime-sweep
+experiment harness."""
 
 from .exact import PrimePower, format_rational, parse_rational, prime_power
-from .gfpoly import GFPoly, poly_pow_truncated
+from .gfpoly import GFPoly
 from .groebner import Ideal, MonomialIdeal, normal_form
 from .frobenius import (
     FptEnclosure,
@@ -40,7 +40,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PrimePower", "format_rational", "parse_rational", "prime_power",
-    "GFPoly", "poly_pow_truncated",
+    "GFPoly",
     "Ideal", "MonomialIdeal", "normal_form",
     "FptEnclosure", "NuValue", "TestIdealResult", "bracket_power", "fpt_enclosure",
     "fpt_point", "frobenius_root", "frobenius_root_principal_power", "nu",

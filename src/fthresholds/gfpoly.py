@@ -42,7 +42,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .errors import CapacityError, DomainError
-from .exact import PrimePower, is_prime
+from .exact import is_prime
 
 EXPONENT_LIMIT = 2**32
 
@@ -623,20 +623,3 @@ def monomials_ascending(f: GFPoly) -> Iterator[Monomial]:
     w = _width(n)
     return (_unpack(k, n, w) for k in sorted(f._terms))
 
-
-def poly_pow_truncated(f: GFPoly, r: int, q: PrimePower) -> GFPoly:
-    """f^r with terms exceeding the box {exponents <= q.q - 1} dropped at each step.
-
-    The result is nonzero iff f^r has a monomial with all exponents <= q.q - 1,
-    i.e. iff f^r lies outside (x_1^q, ..., x_n^q).
-    """
-    if r < 0:
-        raise DomainError("negative power")
-    if f.p != q.p:
-        raise DomainError(f"field characteristic {f.p} does not match q = {q}")
-    result = GFPoly.one(f.n, f.p).truncate(q.q)
-    for _ in range(r):
-        if result.is_zero:
-            break
-        result = result.mul_truncated(f, q.q)
-    return result

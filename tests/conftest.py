@@ -3,15 +3,28 @@
 The oracles here deliberately avoid the code paths they check: truncation is
 applied only once at the end (nu_dp truncates each product, which drops only
 terms that no later factor can bring back), ideal powers are expanded as
-explicit products, and binomial survival is decided with exact binomial
-coefficients.
+explicit products, binomial survival is decided with exact binomial
+coefficients, and Newton-polytope orders are solved as one exact LP each
+(order_lp) instead of read off the facet normals.
 """
 
 import itertools
 import math
+import os
 import random
+from dataclasses import dataclass
+from fractions import Fraction
+from pathlib import Path
+from typing import Sequence
 
+from fthresholds.errors import DomainError
 from fthresholds.gfpoly import GFPoly
+from fthresholds.newton import NewtonPolytope
+
+# pytest puts src/ on sys.path (pyproject.toml); tests that start
+# `python -m fthresholds` in a subprocess need it on PYTHONPATH as well.
+SRC = Path(__file__).resolve().parent.parent / "src"
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
 
 def rand_gfpoly(rng: random.Random, n: int, p: int, max_deg: int, max_terms: int,
@@ -215,3 +228,83 @@ def ref_normal_form(f: dict, divisors: list[dict], p: int) -> dict:
             rem[m] = c
             del work[m]
     return _ref_out(rem, p)
+
+
+# Exact rational simplex for small linear programs: maximize c.x subject to
+# A x <= b, x >= 0 with b >= 0, entirely in Fraction arithmetic.  Bland's
+# anti-cycling rule guarantees termination.
+
+OPTIMAL = "optimal"
+UNBOUNDED = "unbounded"
+INFEASIBLE = "infeasible"
+
+
+@dataclass(frozen=True)
+class LPResult:
+    status: str
+    optimum: Fraction | None
+    witness: tuple[Fraction, ...] | None
+
+
+def simplex_max(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
+    """Primal simplex from the slack basis (requires b >= 0)."""
+    m = len(A)
+    k = len(c)
+    c = [Fraction(x) for x in c]
+    b = [Fraction(x) for x in b]
+    if any(x < 0 for x in b):
+        raise DomainError("simplex_max requires b >= 0 (slack start)")
+    if any(len(row) != k for row in A):
+        raise DomainError("ragged constraint matrix")
+
+    # Tableau columns: k structural variables then m slacks.
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(m)] + [b[i]]
+            for i, row in enumerate(A)]
+    cost = c + [Fraction(0)] * m + [Fraction(0)]
+    basis = list(range(k, k + m))
+
+    while True:
+        enter = next((j for j in range(k + m) if cost[j] > 0), None)
+        if enter is None:
+            break
+        # Ratio test; Bland: among the tight rows pick the smallest basic index.
+        leave = None
+        best = None
+        for i in range(m):
+            a = rows[i][enter]
+            if a > 0:
+                ratio = rows[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return LPResult(UNBOUNDED, None, None)
+        piv = rows[leave][enter]
+        rows[leave] = [x / piv for x in rows[leave]]
+        for i in range(m):
+            if i != leave and rows[i][enter]:
+                f = rows[i][enter]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
+        f = cost[enter]
+        cost = [x - f * y for x, y in zip(cost, rows[leave])]
+        basis[leave] = enter
+
+    x = [Fraction(0)] * (k + m)
+    for i, bi in enumerate(basis):
+        x[bi] = rows[i][-1]
+    optimum = sum((ci * xi for ci, xi in zip(c, x[:k])), Fraction(0))
+    return LPResult(OPTIMAL, optimum, tuple(x[:k]))
+
+
+def order_lp(P: NewtonPolytope, v: Sequence[Fraction]) -> LPResult:
+    """The LP whose optimum is ord_P(v); exposes the exact witness z."""
+    if P.is_empty:
+        raise DomainError("empty Newton polytope")
+    if len(v) != P.n:
+        raise DomainError(f"vector length {len(v)} != n = {P.n}")
+    v = [Fraction(x) for x in v]
+    if any(x <= 0 for x in v):
+        raise DomainError("order vector must be strictly positive")
+    A = [[Fraction(pt[i]) for pt in P.points] for i in range(P.n)]
+    c = [Fraction(1)] * len(P.points)
+    return simplex_max(c, A, v)

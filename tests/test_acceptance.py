@@ -23,12 +23,11 @@ from fthresholds.frobenius import (
 )
 from fthresholds.gfpoly import GFPoly
 from fthresholds.groebner import Ideal, MonomialIdeal
-from fthresholds.lp import OPTIMAL
-from fthresholds.newton import NewtonPolytope, lct_monomial, newton_order, order_lp
+from fthresholds.newton import NewtonPolytope, lct_monomial, newton_order
 from fthresholds.reduction import IntegerIdeal, reduce_mod_p, truncate_ideal
 from fthresholds.experiment import convergence_report, sweep
 
-from conftest import cusp_nu_oracle, rand_gfpoly
+from conftest import OPTIMAL, cusp_nu_oracle, order_lp, rand_gfpoly
 
 
 def _report(k: int, name: str, t0: float, budget_s: float):

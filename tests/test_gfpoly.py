@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fthresholds.errors import DomainError
 from fthresholds.exact import prime_power
 from fthresholds.frobenius import _root_step, frobenius_root
-from fthresholds.gfpoly import GFPoly, drl_key, poly_pow_truncated
+from fthresholds.gfpoly import GFPoly, drl_key
 from fthresholds.groebner import Ideal, normal_form
 from fthresholds.parsing import parse_gfpoly
 
@@ -62,18 +62,21 @@ def test_degrevlex_order():
 
 def test_pow_truncated_examples():
     f = gf("x^2 + y^3", 2, 7)
-    q7 = prime_power(7, 1)
-    r5 = poly_pow_truncated(f, 5, q7)
+    r5 = GFPoly.one(2, 7).truncate(7)
+    for _ in range(5):
+        r5 = r5.mul_truncated(f, 7)
     # independent oracle: full power then one deletion pass
     assert r5 == pow_truncate_oracle(f, 5, 7)
     assert r5.terms.get((6, 6)) == 3  # C(5,3) = 10 = 3 mod 7
-    assert poly_pow_truncated(f, 6, q7).is_zero
+    assert r5.mul_truncated(f, 7).is_zero
     assert pow_truncate_oracle(f, 6, 7).is_zero
 
     x = gf("x", 1, 5)
-    q25 = prime_power(5, 2)
-    assert poly_pow_truncated(x, 24, q25) == parse_gfpoly("x^24", 1, 5)
-    assert poly_pow_truncated(x, 25, q25).is_zero
+    x24 = GFPoly.one(1, 5).truncate(25)
+    for _ in range(24):
+        x24 = x24.mul_truncated(x, 25)
+    assert x24 == parse_gfpoly("x^24", 1, 5)
+    assert x24.mul_truncated(x, 25).is_zero
 
 
 @given(st.integers(0, 10**6))
@@ -85,8 +88,10 @@ def test_pow_truncated_matches_oracle(seed):
     f = rand_gfpoly(rng, n, p, max_deg=3, max_terms=4)
     e = rng.choice([1, 2])
     q = prime_power(p, e)
+    power = GFPoly.one(n, p).truncate(q.q)
     for r in range(7):
-        assert poly_pow_truncated(f, r, q) == pow_truncate_oracle(f, r, q.q)
+        assert power == pow_truncate_oracle(f, r, q.q)
+        power = power.mul_truncated(f, q.q)
 
 
 @given(st.integers(0, 10**6))
@@ -107,8 +112,10 @@ def test_truncated_vanishing_is_monotone(seed):
     f = rand_gfpoly(rng, 2, p, max_deg=3, max_terms=4, vanish=True)
     q = prime_power(p, rng.choice([1, 2]))
     died = False
+    power = GFPoly.one(2, p).truncate(q.q)
     for r in range(10):
-        z = poly_pow_truncated(f, r, q).is_zero
+        z = power.is_zero
+        power = power.mul_truncated(f, q.q)
         if died:
             assert z
         died = died or z

@@ -1,5 +1,6 @@
 """Newton polytope orders, lct, multiplier ideals, jumping numbers, exact LP."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from fthresholds.errors import DomainError
 from fthresholds.groebner import MonomialIdeal
-from fthresholds.lp import OPTIMAL, simplex_max
 from fthresholds.newton import (
     INFINITY,
     NewtonPolytope,
@@ -17,8 +17,9 @@ from fthresholds.newton import (
     lct_monomial,
     multiplier_ideal_monomial,
     newton_order,
-    order_lp,
 )
+
+from conftest import OPTIMAL, UNBOUNDED, order_lp, simplex_max
 
 
 def poly(points, n=2):
@@ -173,3 +174,39 @@ def test_witness_certificate_and_infeasibility_margin():
     s = t + Fraction(1, 1000)
     feas = simplex_max([1, 1], [[2, 0], [0, 3]], [x / s for x in v])
     assert feas.status == OPTIMAL and feas.optimum < 1
+
+
+def compositions(d, n):
+    """The exponent vectors of degree d in n variables: the generators of m^d."""
+    return [c for c in itertools.product(range(d + 1), repeat=n) if sum(c) == d]
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_newton_order_matches_lp(seed):
+    # the facet form against one exact LP per query; degenerate inputs put
+    # several points on one hyperplane |c| = d, and a zero point makes the
+    # order infinite
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    pts = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+    if rng.random() < 0.5:
+        hyperplane = compositions(rng.randint(1, 5), n)
+        pts += rng.sample(hyperplane, min(len(hyperplane), rng.randint(1, 6)))
+    if rng.random() < 0.1:
+        pts.append((0,) * n)
+    P = NewtonPolytope.from_points(pts, n)
+    for _ in range(4):
+        v = [Fraction(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(n)]
+        res = order_lp(P, v)
+        assert newton_order(P, v) == (INFINITY if res.status == UNBOUNDED else res.optimum)
+
+
+@pytest.mark.parametrize("n, d", [(3, 10), (4, 4), (2, 30), (3, 6)])
+def test_maximal_ideal_power_closed_forms(n, d):
+    # m^d has C(d + n - 1, n - 1) generators, but Q has the one vertex (1/d, ..., 1/d)
+    m_d = MonomialIdeal(compositions(d, n), n)
+    assert lct_monomial(m_d) == Fraction(n, d)
+    half = max(d // 2 - n + 1, 0)
+    assert multiplier_ideal_monomial(m_d, Fraction(1, 2)) == MonomialIdeal(compositions(half, n), n)
+    assert jumping_candidates(m_d, Fraction(1)) == [Fraction(k, d) for k in range(n, d + 1)]
