@@ -73,37 +73,32 @@ def sweep(ideal: IntegerIdeal, primes: list[int], q_max: int, *,
     """
     if len(set(primes)) != len(primes):
         raise DomainError("primes must be distinct")
-    collected: list[SweepIssue] = []
-
-    def work(p: int) -> SweepRecord | SweepIssue:
+    records: list[SweepRecord] = []
+    skipped: list[SweepIssue] = []
+    for p in primes:
         e = largest_exponent(p, q_max)
         if e is None:
-            return SweepIssue(p, "no-exponent", f"{p} > q_max = {q_max}")
+            skipped.append(SweepIssue(p, "no-exponent", f"{p} > q_max = {q_max}"))
+            continue
         try:
             reduced = reduce_mod_p(ideal, p)
         except DegenerateReductionError as exc:
-            return SweepIssue(p, "degenerate", str(exc))
+            skipped.append(SweepIssue(p, "degenerate", str(exc)))
+            continue
         t0 = time.perf_counter()
         try:
             enc = fpt_enclosure(reduced, e)
         except CapacityError as exc:
-            return SweepIssue(p, "capacity", str(exc))
+            skipped.append(SweepIssue(p, "capacity", str(exc)))
         except DomainError as exc:
-            return SweepIssue(p, "domain", str(exc))
-        elapsed = int(round((time.perf_counter() - t0) * 1000))
-        return SweepRecord(p=p, e=e, nu=enc.nu, low=enc.low, high=enc.high,
-                           elapsed_ms=elapsed)
-
-    records = []
-    for res in map(work, primes):
-        if isinstance(res, SweepRecord):
-            records.append(res)
+            skipped.append(SweepIssue(p, "domain", str(exc)))
         else:
-            collected.append(res)
+            elapsed = int(round((time.perf_counter() - t0) * 1000))
+            records.append(SweepRecord(p=p, e=e, nu=enc.nu, low=enc.low, high=enc.high,
+                                       elapsed_ms=elapsed))
     records.sort(key=lambda r: (r.p, r.e))
-    collected.sort(key=lambda i: i.p)
     if issues is not None:
-        issues.extend(collected)
+        issues.extend(sorted(skipped, key=lambda i: i.p))
     return records
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import CapacityError, DomainError, InvariantViolation
 from .exact import PrimePower, farey_below, prime_power, simplest_between
@@ -37,8 +38,8 @@ from .gfpoly import GFPoly, drl_key, echelonize, monomials_ascending, truncated_
 from .groebner import Ideal, MonomialIdeal
 from .newton import multiplier_ideal_monomial
 
-DEFAULT_TERM_CAP = 200_000
-DEFAULT_NODE_CAP = 1_000_000
+TERM_CAP = 200_000
+NODE_CAP = 1_000_000
 POWER_TABLE_CAP = 4_000_000
 
 
@@ -95,21 +96,15 @@ def frobenius_root(b: Ideal, q: PrimePower) -> Ideal:
     """The smallest ideal J with b contained in J^[q]."""
     if b.p != q.p:
         raise DomainError(f"ambient characteristic {b.p} does not match q = {q}")
-    gens: list[GFPoly] = []
-    seen = set()
-    for g in b.gens:
-        for piece in g.root_pieces(q.q):
-            if piece not in seen:
-                seen.add(piece)
-                gens.append(piece)
-    return Ideal(gens, n=b.n, p=b.p)
+    return Ideal(_root_step(b.gens, b.n, b.p, q.q), n=b.n, p=b.p)
 
 
-def _root_step(polys: list[GFPoly], n: int, p: int) -> list[GFPoly]:
-    """One-level Frobenius root of the ideal generated by `polys`, echelonized."""
+def _root_step(polys: Iterable[GFPoly], n: int, p: int, qv: int) -> list[GFPoly]:
+    """The q-th Frobenius root, q = qv, of the ideal generated by `polys`,
+    echelonized."""
     pieces: list[GFPoly] = []
     for g in polys:
-        pieces.extend(g.root_pieces(p))
+        pieces.extend(g.root_pieces(qv))
     return echelonize(pieces, n, p)
 
 
@@ -143,7 +138,7 @@ def _digit_root(powers: list[list[GFPoly]], N: int, e: int) -> tuple[list[GFPoly
         t = min(M, top)
         t -= (t - M) % p
         prods = J if t == 0 else [h * g for h in powers[t] for g in J]
-        J = _root_step(prods, n, p)
+        J = _root_step(prods, n, p, p)
         M = (M - t) // p
     return J, M
 
@@ -290,16 +285,15 @@ def _nu_split(f: GFPoly | None, points: list[tuple], n: int, p: int, e: int,
     return best
 
 
-def nu(a: Ideal, e: int, *, term_cap: int = DEFAULT_TERM_CAP,
-       node_cap: int = DEFAULT_NODE_CAP) -> NuValue:
+def nu(a: Ideal, e: int) -> NuValue:
     """The largest r with a^r not contained in m^[p^e] (convention: 0 for a = (0)).
 
     Requires every generator to vanish at the origin.  Two exact routes:
 
       * at most one generator that is not a monomial, and at least one
         monomial: the Frobenius-split route (_nu_split) for (f) + M, truncated
-        powers of f against a branch-and-bound over the monomials M; term_cap
-        bounds each power, node_cap the search;
+        powers of f against a branch-and-bound over the monomials M; TERM_CAP
+        bounds each power, NODE_CAP the search;
       * every other ideal: the digit root (_nu_root), one Frobenius root per
         level over a table of a^t, t <= k(p-1), capped by POWER_TABLE_CAP.
     """
@@ -313,15 +307,15 @@ def nu(a: Ideal, e: int, *, term_cap: int = DEFAULT_TERM_CAP,
     others = [g for g in a.gens if not g.is_monomial()]
     if monos and len(others) <= 1:
         f = others[0] if others else None
-        value = _nu_split(f, monos, a.n, a.p, e, term_cap, node_cap)
+        value = _nu_split(f, monos, a.n, a.p, e, TERM_CAP, NODE_CAP)
     else:
         value = _nu_root(list(a.gens), e)
     return NuValue(q, value)
 
 
-def fpt_enclosure(a: Ideal, e: int, **caps) -> FptEnclosure:
+def fpt_enclosure(a: Ideal, e: int) -> FptEnclosure:
     """[nu/q, (nu+k)/q] with k the generator count; contains the true threshold."""
-    nv = nu(a, e, **caps)
+    nv = nu(a, e)
     k = len(a.gens)
     low = Fraction(nv.nu, nv.q.q)
     high = Fraction(nv.nu + k, nv.q.q)
@@ -436,7 +430,7 @@ def proves_below_threshold(a: Ideal, lam: Fraction, e_max: int) -> bool:
     return False
 
 
-def fpt_point(a: Ideal, e: int, *, e_max: int = None, den_limit: int = None) -> Fraction | None:
+def fpt_point(a: Ideal, e: int, *, e_max: int = None) -> Fraction | None:
     """Rational point value of the threshold, when the tau route confirms it.
 
     Takes the smallest-denominator rational in the level-e enclosure as the
@@ -448,7 +442,7 @@ def fpt_point(a: Ideal, e: int, *, e_max: int = None, den_limit: int = None) -> 
     at most the limit, which nothing proves.
     """
     enc = fpt_enclosure(a, e)
-    dlim = den_limit if den_limit is not None else enc.q.q
+    dlim = enc.q.q
     cand = simplest_between(enc.low, enc.high)
     if cand.denominator > dlim or cand <= 0:
         return None

@@ -38,7 +38,6 @@ keyed by them, and `lead_monomial`, `sorted_terms` and `str` return them.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .errors import CapacityError, DomainError
@@ -514,34 +513,20 @@ def s_polynomial(f: GFPoly, g: GFPoly) -> GFPoly:
             - g.mul_term(_unpack(lcm - lg, n, w), pow(g._terms[lg], -1, p)))
 
 
-def _row_key(terms: dict, n: int, w: int) -> tuple:
-    """Order of rows in `echelonize`: the lead monomial, then the row's
-    `sorted_terms` list as a tuple, without the lead monomial."""
-    if len(terms) == 1:
-        (item,) = terms.items()
-        return item
-    items = sorted(terms.items(), reverse=True)
-    return (items[0][0], items[0][1]) + tuple((_unpack(m, n, w), c) for m, c in items[1:])
-
-
 def echelonize(polys: Iterable[GFPoly], n: int, p: int) -> list[GFPoly]:
     """Echelonize a generating set over F_p (same ideal, bounded count).
 
     Rows are combined linearly only, so the span (hence the ideal) is
     unchanged while the number of generators drops to at most the dimension
-    of the ambient coefficient space.  Rows are taken in descending degrevlex
-    order of their lead monomials, and rows sharing a lead monomial in
-    descending order of their `sorted_terms` lists compared as tuples.  Which
-    row becomes a pivot decides the generators returned, so this order is part
-    of the result.  Repeated rows are dropped.
+    of the ambient coefficient space.  Rows are taken in the order given, each
+    reduced by the pivots so far; a row already in their span, such as a
+    repeated row, reduces to zero.  Which rows become pivots depends on the
+    order; the span does not.  The pivots come back monic, in descending
+    degrevlex order of their lead monomials.
     """
-    w = _width(n)
-    keyed = sorted(((_row_key(g._terms, n, w), g._terms) for g in polys if g._terms),
-                   key=itemgetter(0), reverse=True)
-    rows = [t for i, (key, t) in enumerate(keyed) if i == 0 or key != keyed[i - 1][0]]
     pivots: dict = {}
-    for row in rows:
-        work = dict(row)
+    for g in polys:
+        work = dict(g._terms)
         while work:
             m = max(work)
             piv = pivots.get(m)

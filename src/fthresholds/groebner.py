@@ -24,7 +24,7 @@ from .gfpoly import (
     s_polynomial,
 )
 
-DEFAULT_PAIR_CAP = 100_000
+PAIR_CAP = 100_000
 
 
 def normal_form(f: GFPoly, basis: Sequence[GFPoly]) -> GFPoly:
@@ -35,8 +35,10 @@ def normal_form(f: GFPoly, basis: Sequence[GFPoly]) -> GFPoly:
     return f.remainder(basis)
 
 
-def groebner_basis(gens: Iterable[GFPoly], pair_cap: int = DEFAULT_PAIR_CAP) -> tuple[GFPoly, ...]:
-    """The unique reduced Groebner basis of the ideal generated by `gens`."""
+def groebner_basis(gens: Iterable[GFPoly]) -> tuple[GFPoly, ...]:
+    """The unique reduced Groebner basis of the ideal generated by `gens`.
+
+    Raises CapacityError after PAIR_CAP S-pairs."""
     basis = [g.monic() for g in gens if not g.is_zero]
     if not basis:
         return ()
@@ -53,8 +55,8 @@ def groebner_basis(gens: Iterable[GFPoly], pair_cap: int = DEFAULT_PAIR_CAP) -> 
         if leads_coprime(f, g):
             continue  # product criterion
         processed += 1
-        if processed > pair_cap:
-            raise CapacityError(f"S-pair cap of {pair_cap} exceeded")
+        if processed > PAIR_CAP:
+            raise CapacityError(f"S-pair cap of {PAIR_CAP} exceeded")
         r = normal_form(s_polynomial(f, g), basis)
         if r.is_zero:
             continue
@@ -67,39 +69,32 @@ def groebner_basis(gens: Iterable[GFPoly], pair_cap: int = DEFAULT_PAIR_CAP) -> 
 
 
 def _reduce_basis(basis: list[GFPoly]) -> tuple[GFPoly, ...]:
-    # Minimalize: drop elements whose lead monomial is divisible by another's.
-    order = sorted(range(len(basis)), key=lambda i: drl_key(basis[i].lead_monomial()))
+    """The reduced basis of a monic Groebner basis, by descending lead.
+
+    Minimalize: keep, by ascending lead, each element whose lead no kept lead
+    divides.  Then one pass of tail reduction is exact:
+      * in a minimal basis no lead divides another, so no reduction touches a
+        lead, and each element keeps its lead and its coefficient 1;
+      * a divisor of a monomial is never larger than it in a monomial order,
+        and every tail term of g_i lies below lead(g_i), so only the elements
+        with smaller leads, keep[:i], can divide it.
+    """
+    leads = [g.lead_monomial() for g in basis]
     keep: list[GFPoly] = []
-    for i in order:
-        lm = basis[i].lead_monomial()
-        if not any(monomial_divides(g.lead_monomial(), lm) for g in keep):
+    kept: list[Monomial] = []
+    for i in sorted(range(len(basis)), key=lambda i: drl_key(leads[i])):
+        if not any(monomial_divides(m, leads[i]) for m in kept):
+            kept.append(leads[i])
             keep.append(basis[i])
-    # Autoreduce until stable.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(keep)):
-            rest = keep[:i] + keep[i + 1 :]
-            r = normal_form(keep[i], rest)
-            if r.is_zero:
-                keep.pop(i)
-                changed = True
-                break
-            r = r.monic()
-            if r != keep[i]:
-                keep[i] = r
-                changed = True
-    keep.sort(key=lambda g: drl_key(g.lead_monomial()), reverse=True)
-    return tuple(keep)
+    return tuple(normal_form(keep[i], keep[:i]) for i in reversed(range(len(keep))))
 
 
 class Ideal:
     """Finitely generated ideal of F_p[x_1..x_n] with a cached reduced GB."""
 
-    __slots__ = ("gens", "n", "p", "_gb", "_pair_cap")
+    __slots__ = ("gens", "n", "p", "_gb")
 
-    def __init__(self, gens: Iterable[GFPoly], n: int = None, p: int = None,
-                 pair_cap: int = DEFAULT_PAIR_CAP):
+    def __init__(self, gens: Iterable[GFPoly], n: int = None, p: int = None):
         gens = [g for g in gens if not g.is_zero]
         if n is None or p is None:
             if not gens:
@@ -112,7 +107,6 @@ class Ideal:
         self.n = n
         self.p = p
         self._gb = None
-        self._pair_cap = pair_cap
 
     @classmethod
     def from_strings(cls, texts: list[str] | str, n: int, p: int) -> "Ideal":
@@ -126,7 +120,7 @@ class Ideal:
 
     def groebner_basis(self) -> tuple[GFPoly, ...]:
         if self._gb is None:
-            self._gb = groebner_basis(self.gens, self._pair_cap)
+            self._gb = groebner_basis(self.gens)
         return self._gb
 
     def contains(self, f: GFPoly) -> bool:
@@ -161,8 +155,6 @@ def minimize_points(points: Iterable[Monomial]) -> tuple[Monomial, ...]:
     if not pts:
         return ()
     n = len(next(iter(pts)))
-    if n == 1:
-        return (min(pts),)
     if n == 2:
         # Sweep by first coordinate; a point is dominated iff some kept point
         # with smaller-or-equal x also has smaller-or-equal y.

@@ -180,17 +180,10 @@ def ref_root_pieces(a: dict, q: int) -> list[dict]:
 
 
 def ref_linear_reduce(rows: list[dict], p: int) -> list[dict]:
-    """Row echelon form: distinct nonzero rows taken in descending order of
-    (lead monomial, degrevlex-sorted term list), each reduced by the pivots so
-    far; the pivots are returned monic, by descending lead monomial."""
-    def term_list(r):
-        return tuple(sorted(r.items(), key=lambda kv: drl(kv[0]), reverse=True))
-
-    distinct = {frozenset(r.items()): r for r in rows if r}
-    ordered = sorted(distinct.values(), key=lambda r: (drl(max(r, key=drl)), term_list(r)),
-                     reverse=True)
+    """Row echelon form: rows taken in the order given, each reduced by the
+    pivots so far; the pivots are returned monic, by descending lead monomial."""
     pivots: dict = {}
-    for r in ordered:
+    for r in rows:
         work = dict(r)
         while work:
             m = max(work, key=drl)

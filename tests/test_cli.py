@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fthresholds import frobenius
 from fthresholds.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, dispatch
+from fthresholds.experiment import SweepIssue, sweep
+from fthresholds.reduction import IntegerIdeal
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -94,6 +97,21 @@ def test_sweep_stdout_and_csv(tmp_path: Path, capsys):
                   "--qmax", "100", "--format", "csv", "--out", str(csv_path))
     assert code == EXIT_OK
     assert csv_path.read_text().startswith("p,e,nu,low,high,elapsed_ms\n")
+
+
+def test_sweep_capacity_skips_prime(monkeypatch, capsys):
+    # p = 5 needs a^0..a^4, 15 terms; p = 101 needs a^0..a^100, past 100.
+    monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 100)
+    code = dispatch(["sweep", "--gens", "x^2+y^3", "-n", "2", "--primes", "5,101",
+                     "--qmax", "10000"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CAPACITY
+    assert [(r["p"], r["nu"]) for r in json.loads(captured.out)["records"]] == [(5, 2499)]
+    assert "warning: p=101 skipped (capacity)" in captured.err
+    issues: list[SweepIssue] = []
+    records = sweep(IntegerIdeal.from_strings(["x^2+y^3"], 2), [5, 101], 10000, issues=issues)
+    assert [r.p for r in records] == [5]
+    assert [(i.p, i.kind) for i in issues] == [(101, "capacity")]
 
 
 def test_sweep_rejects_non_prime(tmp_path: Path, capsys):

@@ -447,22 +447,27 @@ def test_truncated_powers_match_repeated_products(seed):
             assert asked[k] <= chain[k].min_degree()
 
 
-def test_nu_split_capacity():
+def test_nu_split_capacity(monkeypatch):
     m5 = truncate_ideal(cusp(7), 5)
+    monkeypatch.setattr(frobenius, "TERM_CAP", 3)
     with pytest.raises(CapacityError, match="term cap"):
-        nu(m5, 2, term_cap=3)
+        nu(m5, 2)
+    monkeypatch.undo()
+    monkeypatch.setattr(frobenius, "NODE_CAP", 100)
     with pytest.raises(CapacityError, match="node cap"):
-        nu(ideal(["x^3", "y^4", "z^5"], n=3, p=7), 4, node_cap=100)
+        nu(ideal(["x^3", "y^4", "z^5"], n=3, p=7), 4)
     # One node count covers all the solves of a call; each solve here needs
     # at most six nodes.
     with pytest.raises(CapacityError, match="node cap"):
-        nu(m5, 4, node_cap=100)
+        nu(m5, 4)
 
 
-def test_nu_split_degree_cut():
+def test_nu_split_degree_cut(monkeypatch):
     # For (f) + m^d the degree bound is exact, so each truncated power costs
     # one solve of at most d + 1 nodes: at most 2001 powers times 6 nodes here.
-    assert nu(truncate_ideal(cusp(7), 5), 4, node_cap=2001 * 6).nu == 2000
+    monkeypatch.setattr(frobenius, "NODE_CAP", 2001 * 6)
+    assert nu(truncate_ideal(cusp(7), 5), 4).nu == 2000
+    monkeypatch.undo()
     # The diagonal closed form sum (q-1) // a_i at q = 7^5, within the default
     # node cap.
     assert nu(ideal(["x^3", "y^4", "z^5"], n=3, p=7), 5).nu == 5602 + 4201 + 3361

@@ -216,7 +216,7 @@ def test_roots_match_tuple_reference(seed):
     # One Frobenius level with p: echelon rows span the pieces' ideal, and are
     # exactly the rows of the reference elimination.
     pieces_p = [piece for f in polys for piece in ref_root_pieces(as_dict(f), p)]
-    step = _root_step(polys, n, p)
+    step = _root_step(polys, n, p, p)
     assert [as_dict(g) for g in step] == ref_linear_reduce(pieces_p, p)
     assert (Ideal(step, n=n, p=p).groebner_basis()
             == Ideal([GFPoly.make(n, p, r.items()) for r in pieces_p], n=n, p=p).groebner_basis())

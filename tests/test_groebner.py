@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fthresholds import groebner
 from fthresholds.errors import CapacityError
 from fthresholds.exact import prime_power
-from fthresholds.gfpoly import GFPoly
+from fthresholds.gfpoly import GFPoly, drl_key, monomial_divides
 from fthresholds.groebner import (
     Ideal,
     MonomialIdeal,
@@ -75,8 +76,9 @@ def test_unit_detection():
     assert ideal(["3"], p=7).is_unit()
 
 
-def test_pair_capacity_error():
-    I = Ideal([gf("x^2 + y"), gf("x*y + x")], n=2, p=5, pair_cap=0)
+def test_pair_capacity_error(monkeypatch):
+    monkeypatch.setattr(groebner, "PAIR_CAP", 0)
+    I = Ideal([gf("x^2 + y"), gf("x*y + x")], n=2, p=5)
     with pytest.raises(CapacityError):
         I.groebner_basis()
 
@@ -95,6 +97,23 @@ def test_reduced_gb_invariance(seed):
     rng.shuffle(shuffled)
     scaled = [g.scale(rng.randint(1, p - 1)) for g in shuffled]
     assert Ideal(scaled, n=2, p=p).groebner_basis() == gb
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_reduced_basis_is_reduced(seed):
+    rng = random.Random(seed)
+    n, p = rng.choice([2, 3]), rng.choice([2, 3, 5, 7])
+    gens = [rand_gfpoly(rng, n, p, max_deg=3, max_terms=4) for _ in range(rng.randint(1, 4))]
+    gb = Ideal(gens, n=n, p=p).groebner_basis()
+    leads = [g.lead_monomial() for g in gb]
+    assert all(g.lead_coeff() == 1 for g in gb)
+    assert all(drl_key(a) > drl_key(b) for a, b in zip(leads, leads[1:]))
+    assert not any(i != j and monomial_divides(a, b)
+                   for i, a in enumerate(leads) for j, b in enumerate(leads))
+    assert not any(monomial_divides(lead, m)
+                   for g in gb for m, _ in g.sorted_terms()[1:] for lead in leads)
+    assert Ideal(gb, n=n, p=p).groebner_basis() == gb
 
 
 @given(st.integers(0, 10**6))
