@@ -36,7 +36,7 @@ from .errors import CapacityError, DomainError, InvariantViolation
 from .exact import PrimePower, farey_below, prime_power, simplest_between
 from .gfpoly import GFPoly, drl_key, echelonize, monomials_ascending, truncated_powers
 from .groebner import Ideal, MonomialIdeal
-from .newton import multiplier_ideal_monomial
+from .newton import NewtonPolytope, multiplier_ideal_monomial
 
 TERM_CAP = 200_000
 NODE_CAP = 1_000_000
@@ -63,7 +63,9 @@ class FptEnclosure:
     e', and the threshold is at most high = (nu+k)/q.  For principal ideals
     (k = 1) this is the classical width-1/q enclosure.  With q' = p, and
     (a^nu)^[p] inside a^(p nu) for the lower end, it is the window
-    p nu(e) <= nu(e+1) <= p nu(e) + k(p-1) that the digit-root nu scans.
+    p nu(e) <= nu(e+1) <= p nu(e) + k(p-1) that the digit-root nu scans,
+    from the top or from floor((p^(e+1) - 1) lct(T)) when that is lower, T
+    the ideal of all terms of the generators (see _nu_root).
     """
 
     low: Fraction
@@ -127,6 +129,13 @@ def _ideal_powers(gens: list[GFPoly]) -> list[list[GFPoly]]:
     return powers
 
 
+def _digit(M: int, top: int, p: int) -> int:
+    """The t of the digit identity: the largest t <= min(M, top) with t = M
+    (mod p), top = k(p-1)."""
+    t = min(M, top)
+    return t - (t - M) % p
+
+
 def _digit_root(powers: list[list[GFPoly]], N: int, e: int) -> tuple[list[GFPoly], int]:
     """(J, M) with (a^N)^[1/p^e] = a^M (J), from powers = _ideal_powers(gens of a):
     the digit identity of the module docstring, once per level."""
@@ -135,12 +144,35 @@ def _digit_root(powers: list[list[GFPoly]], N: int, e: int) -> tuple[list[GFPoly
     top = len(powers) - 1
     J, M = [one], N
     for _ in range(e):
-        t = min(M, top)
-        t -= (t - M) % p
+        t = _digit(M, top, p)
         prods = J if t == 0 else [h * g for h in powers[t] for g in J]
         J = _root_step(prods, n, p, p)
         M = (M - t) // p
     return J, M
+
+
+def _escapes(powers: list[list[GFPoly]], r: int, level: int) -> bool:
+    """Whether a^r is not contained in m^[p^level], powers = _ideal_powers(gens).
+
+    The digit loop of _digit_root, computed modulo m: by adjunction a^r
+    escapes iff (a^r)^[1/p^level] = a^M (J) is not inside m, that is iff M = 0
+    and some generator of J has a nonzero constant term.  Since
+    (I + m^[Q])^[1/p] = I^[1/p] + m^[Q/p], the step-i products are needed only
+    modulo m^[p^(level-i)], so every term with an exponent >= p^(level-i) is
+    dropped.  The J of the previous step already lies in that box.
+    """
+    one = powers[0][0]
+    n, p = one.n, one.p
+    top = len(powers) - 1
+    J, M = [one], r
+    for i in range(level):
+        t = _digit(M, top, p)
+        if t:
+            box = p**(level - i)
+            J = [h.mul_truncated(g, box) for h in powers[t] for g in J]
+        J = _root_step(J, n, p, p)
+        M = (M - t) // p
+    return M == 0 and any(g.constant_term() for g in J)
 
 
 def _times_power(gens: list[GFPoly], M: int, J: list[GFPoly]) -> list[GFPoly]:
@@ -186,19 +218,31 @@ def _nu_root(gens: list[GFPoly], e: int) -> int:
     nu(1) is the largest t <= k(p-1) such that some element of the spanning
     set of a^t has a term in the box [0, p)^n: a^(k(p-1)+1) lies in a^[p],
     inside m^[p].  Then p nu(l) <= nu(l+1) <= p nu(l) + k(p-1) (FptEnclosure
-    with q' = p), and the window is scanned from the top: a^r lies outside
-    m^[q] iff (a^r)^[1/q] = a^M (J) is not inside m (adjunction), that is iff
-    M = 0 and some generator of J has a nonzero constant term.
+    with q' = p), and the window is scanned from the top with _escapes.
+
+    The top of each window is capped by the term ideal T, generated by every
+    term of every generator.  Let lct = min <w, 1> over the vertices w of
+    Q = {w >= 0 : <w, a_j> >= 1 for every exponent a_j}, the lct of T
+    (Howald 2001; fpt(a) <= lct(T) by Hara-Yoshida 2003).  If a^r escapes
+    m^[q], so does T^r (a lies in T), so some r terms have an exponent sum
+    v <= (q-1) 1, and for every w in Q
+
+        r <= <w, v> <= (q-1) <w, 1>.
+
+    Hence nu(l) <= floor((p^l - 1) lct), and the scan starts there when that
+    is below p nu(l-1) + k(p-1).
     """
-    p = gens[0].p
+    p, n = gens[0].p, gens[0].n
     powers = _ideal_powers(gens)
     top = len(powers) - 1
+    points = [m for g in gens for m in g.terms]
+    lct = min(sum(w) for w in NewtonPolytope.from_points(points, n).vertices)
     value = next(t for t in range(top, -1, -1)
                  if any(not h.truncate(p).is_zero for h in powers[t]))
     for level in range(2, e + 1):
-        for r in range(p * value + top, p * value - 1, -1):
-            J, M = _digit_root(powers, r, level)
-            if M == 0 and any(g.constant_term() for g in J):
+        cap = (p**level - 1) * lct.numerator // lct.denominator
+        for r in range(min(p * value + top, cap), p * value - 1, -1):
+            if _escapes(powers, r, level):
                 value = r
                 break
         else:
@@ -294,8 +338,11 @@ def nu(a: Ideal, e: int) -> NuValue:
         monomial: the Frobenius-split route (_nu_split) for (f) + M, truncated
         powers of f against a branch-and-bound over the monomials M; TERM_CAP
         bounds each power, NODE_CAP the search;
-      * every other ideal: the digit root (_nu_root), one Frobenius root per
-        level over a table of a^t, t <= k(p-1), capped by POWER_TABLE_CAP.
+      * every other ideal: the digit root (_nu_root), over a table of a^t,
+        t <= k(p-1), capped by POWER_TABLE_CAP.  Each level scans the window
+        [p nu, p nu + k(p-1)] from the top, capped by the lct of the term
+        ideal, and decides each probe modulo m with products truncated to
+        the box that still matters (_escapes).
     """
     q = prime_power(a.p, e)
     for g in a.gens:

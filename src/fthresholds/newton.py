@@ -190,8 +190,16 @@ def multiplier_ideal_monomial(a: MonomialIdeal, lam: Fraction) -> MonomialIdeal:
     if a.is_unit():
         return MonomialIdeal([(0,) * a.n], a.n)
     W = NewtonPolytope.from_monomial_ideal(a).vertices
-    box = itertools.product(range(_membership_box(a, lam) + 1), repeat=a.n)
-    return MonomialIdeal([u for u in box if _order(W, [e + 1 for e in u]) > lam], a.n)
+    cap = _membership_box(a, lam)
+    points = []
+    # ord_P is nondecreasing, so only the least passing last exponent of each
+    # prefix can be a minimal generator.
+    for prefix in itertools.product(range(cap + 1), repeat=a.n - 1):
+        last = next((u for u in range(cap + 1)
+                     if _order(W, [e + 1 for e in prefix] + [u + 1]) > lam), None)
+        if last is not None:
+            points.append((*prefix, last))
+    return MonomialIdeal(points, a.n)
 
 
 def jumping_candidates(a: MonomialIdeal, bound: Fraction) -> list[Fraction]:

@@ -24,6 +24,7 @@ from fthresholds.frobenius import (
 from fthresholds.frobenius import test_ideal as tau_chain
 from fthresholds.gfpoly import GFPoly, truncated_powers
 from fthresholds.groebner import Ideal, MonomialIdeal
+from fthresholds.newton import NewtonPolytope
 from fthresholds.parsing import parse_gfpoly
 from fthresholds.reduction import truncate_ideal
 
@@ -32,6 +33,7 @@ from conftest import (
     expanded_power,
     nu_bruteforce,
     nu_dp,
+    order_lp,
     rand_gfpoly,
     rand_homogeneous,
 )
@@ -407,6 +409,67 @@ def test_digit_root_examples():
     assert tau_chain(b, Fraction(5, 6), 6).ideal.equals(ideal(["x", "y"], p=7))
     # nu(l+1) - p nu(l) reaches k(p-1) = 4 > p - 1 here, as for m = (x, y).
     assert nu(ideal(["x + y^2", "y + x^2"], p=3), 2).nu == 16
+
+
+def _term_ideal_lct(gens) -> Fraction:
+    """lct of the ideal of all terms of `gens`, by the simplex oracle."""
+    n = gens[0].n
+    P = NewtonPolytope.from_points([m for g in gens for m in g.terms], n)
+    return order_lp(P, [1] * n).optimum
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_nu_root_cap_and_box_truncated_probe(seed):
+    """nu(l) <= floor((p^l - 1) lct(T)) at every level, and the box-truncated
+    probe agrees with the exact digit root on every r of every window."""
+    rng = random.Random(seed)
+    n = rng.choice([2, 3])
+    k = rng.choice([1, 2])
+    p = rng.choice([2, 3, 5, 7])
+    gens = []
+    while len(gens) < k:
+        g = rand_gfpoly(rng, n, p, max_deg=3, max_terms=3, vanish=True)
+        if not g.is_zero and not g.is_monomial():
+            gens.append(g)
+    a = Ideal(gens, n=n, p=p)
+    lct = _term_ideal_lct(gens)
+    powers = frobenius._ideal_powers(gens)
+    top = len(powers) - 1
+    prev = None
+    for level in range(1, 4):
+        if p**level > (49 if n == 2 else 25):
+            break
+        value = nu(a, level).nu
+        assert value <= math.floor((p**level - 1) * lct)
+        if prev is not None:
+            for r in range(p * prev, p * prev + top + 1):
+                J, M = frobenius._digit_root(powers, r, level)
+                exact = M == 0 and any(g.constant_term() for g in J)
+                assert frobenius._escapes(powers, r, level) == exact, (r, level)
+        prev = value
+
+
+def test_nu_root_cap_is_not_nu():
+    # Cusp at p = 5: lct(x^2, y^3) = 5/6 caps nu(2) at 20, but fpt = 4/5.
+    assert _term_ideal_lct(list(cusp(5).gens)) == Fraction(5, 6)
+    assert nu(cusp(5), 2).nu == 19
+
+
+def test_nu_root_probe_counts(monkeypatch):
+    calls = []
+    escapes = frobenius._escapes
+
+    def counted(powers, r, level):
+        calls.append((r, level))
+        return escapes(powers, r, level)
+
+    monkeypatch.setattr(frobenius, "_escapes", counted)
+    assert nu(cusp(7), 4).nu == 2000
+    assert len(calls) == 3
+    calls.clear()
+    assert nu(ideal(["x^2 + y^3", "x*y^2 + x^3*y"], p=11), 3).nu == 1105
+    assert len(calls) == 6
 
 
 @given(st.integers(0, 10**6))
