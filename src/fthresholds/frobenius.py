@@ -56,7 +56,8 @@ class FptEnclosure:
     """Rigorous interval around the F-pure threshold at the origin.
 
     low = nu(e)/q is a lower bound because nu(e)/p^e increases to the
-    threshold.  For the upper bound, let k be the number of generators: any
+    threshold; _nu_root proves the sharper nu(e)/(p^e - 1) <= fpt, which
+    low does not use.  For the upper bound, let k be the number of generators: any
     product of (nu+1)q' + (k-1)(q'-1) generators contains some generator to
     the q'-th power at least nu+1 times, hence lies in (a^{nu+1})^[q'] which
     is inside m^[q q'].  Therefore nu(e+e')/p^(e+e') < (nu+k)/p^e for every
@@ -110,23 +111,63 @@ def _root_step(polys: Iterable[GFPoly], n: int, p: int, qv: int) -> list[GFPoly]
     return echelonize(pieces, n, p)
 
 
-def _ideal_powers(gens: list[GFPoly]) -> list[list[GFPoly]]:
-    """Spanning sets of a^t for t = 0..k(p-1), a = (gens) with k generators:
-    the bare powers f^t for k = 1, echelonized products otherwise.  Raises
-    CapacityError once the table holds more than POWER_TABLE_CAP terms."""
-    n, p = gens[0].n, gens[0].p
-    powers = [[GFPoly.one(n, p)]]
-    terms = 1
-    for t in range(1, len(gens) * (p - 1) + 1):
-        span = [h * g for h in powers[-1] for g in gens]
-        if len(gens) > 1:
-            span = echelonize(span, n, p)
-        terms += sum(len(h.terms) for h in span)
-        if terms > POWER_TABLE_CAP:
+class _PowerTable:
+    """Spanning sets of a^t, t = 0..k(p-1), for a = (gens) with k generators,
+    each built on its first read; a table serves one call and is then dropped.
+
+    powers[t] is [f^t] for k = 1 and the echelonized products g^c with
+    |c| = t otherwise.  The per-generator powers g_i^j those products need are
+    built on first use as well.  Every polynomial the table builds, and every
+    truncated span of _nu_root's first level, is counted against
+    POWER_TABLE_CAP as it is added; CapacityError names the entry that passed
+    the cap.
+    """
+
+    def __init__(self, gens: list[GFPoly]):
+        self.gens = gens
+        self.n, self.p = gens[0].n, gens[0].p
+        one = GFPoly.one(self.n, self.p)
+        self.spans = {0: [one]}
+        self.gen_powers = [[one, g] for g in gens]
+        self.terms = 1
+
+    def __len__(self) -> int:
+        return len(self.gens) * (self.p - 1) + 1
+
+    def __getitem__(self, t: int) -> list[GFPoly]:
+        span = self.spans.get(t)
+        if span is None:
+            if len(self.gens) == 1:
+                span = [self._gen_power(0, t, t)]
+            else:
+                span = echelonize(self._products(0, t, t), self.n, self.p)
+            self.spans[t] = span
+        return span
+
+    def count(self, poly: GFPoly, t: int) -> GFPoly:
+        """poly, after adding its terms to the count of terms built for a^t."""
+        self.terms += len(poly.terms)
+        if self.terms > POWER_TABLE_CAP:
             raise CapacityError(f"power table cap of {POWER_TABLE_CAP} terms exceeded "
-                                f"at a^{t} ({terms} terms)")
-        powers.append(span)
-    return powers
+                                f"at a^{t} ({self.terms} terms)")
+        return poly
+
+    def _gen_power(self, i: int, j: int, t: int) -> GFPoly:
+        powers = self.gen_powers[i]
+        while len(powers) <= j:
+            powers.append(self.count(powers[-1] * powers[1], t))
+        return powers[j]
+
+    def _products(self, i: int, s: int, t: int) -> list[GFPoly]:
+        """The products g_i^c_i ... g_k^c_k with c_i + ... + c_k = s."""
+        if i == len(self.gens) - 1:
+            return [self._gen_power(i, s, t)]
+        out = []
+        for j in range(s + 1):
+            gj = self._gen_power(i, j, t)
+            for h in self._products(i + 1, s - j, t):
+                out.append(h if j == 0 else gj if j == s else self.count(gj * h, t))
+        return out
 
 
 def _digit(M: int, top: int, p: int) -> int:
@@ -136,8 +177,8 @@ def _digit(M: int, top: int, p: int) -> int:
     return t - (t - M) % p
 
 
-def _digit_root(powers: list[list[GFPoly]], N: int, e: int) -> tuple[list[GFPoly], int]:
-    """(J, M) with (a^N)^[1/p^e] = a^M (J), from powers = _ideal_powers(gens of a):
+def _digit_root(powers: _PowerTable, N: int, e: int) -> tuple[list[GFPoly], int]:
+    """(J, M) with (a^N)^[1/p^e] = a^M (J), from powers = _PowerTable(gens of a):
     the digit identity of the module docstring, once per level."""
     one = powers[0][0]
     n, p = one.n, one.p
@@ -151,8 +192,8 @@ def _digit_root(powers: list[list[GFPoly]], N: int, e: int) -> tuple[list[GFPoly
     return J, M
 
 
-def _escapes(powers: list[list[GFPoly]], r: int, level: int) -> bool:
-    """Whether a^r is not contained in m^[p^level], powers = _ideal_powers(gens).
+def _escapes(powers: _PowerTable, r: int, level: int) -> bool:
+    """Whether a^r is not contained in m^[p^level], powers = _PowerTable(gens).
 
     The digit loop of _digit_root, computed modulo m: by adjunction a^r
     escapes iff (a^r)^[1/p^level] = a^M (J) is not inside m, that is iff M = 0
@@ -199,7 +240,7 @@ def _power_root(a: Ideal, N: int, q: PrimePower) -> Ideal:
     if len(gens) > 1 and all(g.is_monomial() for g in gens):
         mono = MonomialIdeal([g.lead_monomial() for g in gens], a.n)
         return mono.pow(N).floor_root(q).to_ideal(a.p)
-    J, M = _digit_root(_ideal_powers(gens), N, q.e)
+    J, M = _digit_root(_PowerTable(gens), N, q.e)
     return Ideal(_times_power(gens, M, J), n=a.n, p=a.p)
 
 
@@ -215,38 +256,72 @@ def frobenius_root_principal_power(f: GFPoly, N: int, q: PrimePower) -> Ideal:
 def _nu_root(gens: list[GFPoly], e: int) -> int:
     """nu for any generators, by the digit root.
 
-    nu(1) is the largest t <= k(p-1) such that some element of the spanning
-    set of a^t has a term in the box [0, p)^n: a^(k(p-1)+1) lies in a^[p],
-    inside m^[p].  Then p nu(l) <= nu(l+1) <= p nu(l) + k(p-1) (FptEnclosure
-    with q' = p), and the window is scanned from the top with _escapes.
+    Lower bound.  nu(l)/(p^l - 1) <= fpt for every ideal and every l >= 1.
+    Put q = p^l, v = nu(l) and N_j = v (1 + q + ... + q^(j-1)).  Since
+    (a^(N_j))^[q] lies in a^(q N_j),
 
-    The top of each window is capped by the term ideal T, generated by every
-    term of every generator.  Let lct = min <w, 1> over the vertices w of
+        (a^(N_(j+1)))^[1/q^(j+1)]  contains  (a^v (a^(N_j))^[q])^[1/q^(j+1)]
+                                        =  ((a^v)^[1/q] a^(N_j))^[1/q^j].
+
+    (a^v)^[1/q] is not inside m, so it holds a unit u of the local ring at
+    the origin, and a unit factor does not change a root at the origin (roots
+    commute with localization): if (a^(N_j))^[1/q^j] is not inside m, neither
+    is (u a^(N_j))^[1/q^j].  By induction nu(jl) >= N_j = v (q^j - 1)/(q - 1),
+    so nu(jl)/(q^j - 1) >= v/(q - 1) for every j, and the limit of
+    nu(e)/p^e, which is fpt, is at least v/(q - 1).
+
+    Upper bound.  Let T be the term ideal, generated by every term of every
+    generator, and lct = min <w, 1> over the vertices w of
     Q = {w >= 0 : <w, a_j> >= 1 for every exponent a_j}, the lct of T
-    (Howald 2001; fpt(a) <= lct(T) by Hara-Yoshida 2003).  If a^r escapes
-    m^[q], so does T^r (a lies in T), so some r terms have an exponent sum
-    v <= (q-1) 1, and for every w in Q
+    (Howald 2001).  a lies in T, so fpt(a) <= fpt(T) = lct (Hara-Yoshida
+    2003, Theorem 4.8).  Level by level, if a^r escapes m^[q], so does T^r,
+    so some r terms have an exponent sum v <= (q-1) 1, and for every w in Q
 
         r <= <w, v> <= (q-1) <w, 1>.
 
-    Hence nu(l) <= floor((p^l - 1) lct), and the scan starts there when that
-    is below p nu(l-1) + k(p-1).
+    Hence nu(l) <= floor((p^l - 1) lct).
+
+    Levels.  nu(1) is the last t for which the span of a^t taken modulo
+    m^[p] is not empty: each span is the previous one times the generators,
+    multiplied with mul_truncated(., p), echelonized when k > 1, and the chain
+    stops at the first empty span (a^(k(p-1)+1) lies in a^[p], inside m^[p]).
+    Then p nu(l) <= nu(l+1) <= p nu(l) + k(p-1) (FptEnclosure with q' = p),
+    and the window is scanned from its top, or from floor((p^l - 1) lct) when
+    that is lower, with _escapes.
+
+    Closed form.  For a principal ideal (k = 1), once a level l gives
+    nu(l) = (p^l - 1) lct, the two bounds meet and fpt = lct.  For principal
+    f, nu(e)/p^e < fpt <= (nu(e) + 1)/p^e (FptEnclosure with k = 1), so
+    nu(e) = ceil(lct p^e) - 1 and the remaining levels are skipped.  With
+    k >= 2 nu is not a function of fpt (nu((x+y^2, y+x^2), 3^2) = 16, while
+    fpt = lct = 2), so those ideals keep probing.
+
+    The powers come from a _PowerTable that builds each a^t on its first read;
+    the probes read only the digits they meet.
     """
     p, n = gens[0].p, gens[0].n
-    powers = _ideal_powers(gens)
+    k = len(gens)
+    powers = _PowerTable(gens)
     top = len(powers) - 1
     points = [m for g in gens for m in g.terms]
     lct = min(sum(w) for w in NewtonPolytope.from_points(points, n).vertices)
-    value = next(t for t in range(top, -1, -1)
-                 if any(not h.truncate(p).is_zero for h in powers[t]))
-    for level in range(2, e + 1):
-        cap = (p**level - 1) * lct.numerator // lct.denominator
-        for r in range(min(p * value + top, cap), p * value - 1, -1):
-            if _escapes(powers, r, level):
-                value = r
-                break
-        else:
-            raise InvariantViolation("nu window lost its lower bound")
+    num, den = lct.numerator, lct.denominator
+    span, value = powers[0], -1
+    while span:
+        value += 1
+        span = [powers.count(h.mul_truncated(g, p), value + 1) for h in span for g in gens]
+        span = echelonize(span, n, p) if k > 1 else [h for h in span if not h.is_zero]
+    for level in range(1, e + 1):
+        if level > 1:
+            cap = (p**level - 1) * num // den
+            for r in range(min(p * value + top, cap), p * value - 1, -1):
+                if _escapes(powers, r, level):
+                    value = r
+                    break
+            else:
+                raise InvariantViolation("nu window lost its lower bound")
+        if k == 1 and value * den == (p**level - 1) * num:
+            return -(-num * p**e // den) - 1
     return value
 
 
@@ -339,10 +414,14 @@ def nu(a: Ideal, e: int) -> NuValue:
         powers of f against a branch-and-bound over the monomials M; TERM_CAP
         bounds each power, NODE_CAP the search;
       * every other ideal: the digit root (_nu_root), over a table of a^t,
-        t <= k(p-1), capped by POWER_TABLE_CAP.  Each level scans the window
+        t <= k(p-1), whose entries are built on first read and whose terms
+        are capped by POWER_TABLE_CAP.  Each level scans the window
         [p nu, p nu + k(p-1)] from the top, capped by the lct of the term
         ideal, and decides each probe modulo m with products truncated to
-        the box that still matters (_escapes).
+        the box that still matters (_escapes).  A principal ideal stops at
+        the first level where nu meets that cap, with the closed form
+        ceil(lct p^e) - 1.  The _nu_root docstring proves both bounds,
+        nu(l)/(p^l - 1) <= fpt <= lct of the term ideal.
     """
     q = prime_power(a.p, e)
     for g in a.gens:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from fthresholds.errors import DomainError
-from fthresholds.gfpoly import GFPoly
+from fthresholds.gfpoly import GFPoly, echelonize
 from fthresholds.newton import NewtonPolytope
 
 # pytest puts src/ on sys.path (pyproject.toml); tests that start
@@ -93,6 +93,18 @@ def nu_dp(gens: list[GFPoly], qv: int) -> int:
         level = {prod for u in level for g in truncated
                  if not (prod := u.mul_truncated(g, qv)).is_zero}
     return r
+
+
+def eager_powers(gens: list[GFPoly]) -> list[list[GFPoly]]:
+    """Spanning sets of a^t for every t = 0..k(p-1), a = (gens), built in
+    full by repeated multiplication by the generators: f^t for k = 1,
+    echelonized products otherwise."""
+    n, p = gens[0].n, gens[0].p
+    powers = [[GFPoly.one(n, p)]]
+    for _ in range(len(gens) * (p - 1)):
+        span = [h * g for h in powers[-1] for g in gens]
+        powers.append(echelonize(span, n, p) if len(gens) > 1 else span)
+    return powers
 
 
 def expanded_power(gens: list[GFPoly], N: int) -> list[GFPoly]:

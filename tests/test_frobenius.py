@@ -22,7 +22,7 @@ from fthresholds.frobenius import (
     proves_below_threshold,
 )
 from fthresholds.frobenius import test_ideal as tau_chain
-from fthresholds.gfpoly import GFPoly, truncated_powers
+from fthresholds.gfpoly import GFPoly, echelonize, truncated_powers
 from fthresholds.groebner import Ideal, MonomialIdeal
 from fthresholds.newton import NewtonPolytope
 from fthresholds.parsing import parse_gfpoly
@@ -30,6 +30,7 @@ from fthresholds.reduction import truncate_ideal
 
 from conftest import (
     cusp_nu_oracle,
+    eager_powers,
     expanded_power,
     nu_bruteforce,
     nu_dp,
@@ -434,7 +435,7 @@ def test_nu_root_cap_and_box_truncated_probe(seed):
             gens.append(g)
     a = Ideal(gens, n=n, p=p)
     lct = _term_ideal_lct(gens)
-    powers = frobenius._ideal_powers(gens)
+    powers = eager_powers(gens)
     top = len(powers) - 1
     prev = None
     for level in range(1, 4):
@@ -465,11 +466,100 @@ def test_nu_root_probe_counts(monkeypatch):
         return escapes(powers, r, level)
 
     monkeypatch.setattr(frobenius, "_escapes", counted)
+    # nu(1) = 5 = (7 - 1) * 5/6 = (p - 1) lct(T): the closed form answers.
     assert nu(cusp(7), 4).nu == 2000
+    assert len(calls) == 0
+    calls.clear()
+    # At p = 5 the bounds never meet (fpt = 4/5 < 5/6), so every level probes.
+    assert nu(cusp(5), 4).nu == 499
     assert len(calls) == 3
+    calls.clear()
+    assert nu(cusp(13), 3).nu == 1830
+    assert len(calls) == 0
     calls.clear()
     assert nu(ideal(["x^2 + y^3", "x*y^2 + x^3*y"], p=11), 3).nu == 1105
     assert len(calls) == 6
+
+
+def test_nu_root_closed_form():
+    # lct(x^2, y^2) = 1 = fpt, met at level 1: nu = q - 1, not q.
+    for e in range(1, 5):
+        assert nu(ideal(["x^2 + y^2"], p=5), e).nu == 5**e - 1
+    # The cusp meets 5/6 at level 1 for p = 1 (mod 6).
+    for p, e in ((7, 3), (13, 2), (19, 2)):
+        assert nu(cusp(p), e).nu == cusp_nu_oracle(p, e)
+
+
+def _principal_curve(rng: random.Random, p: int) -> GFPoly:
+    """A binomial or trinomial in x, y vanishing at the origin."""
+    support = set()
+    while len(support) < rng.choice([2, 3]):
+        m = (rng.randint(0, 4), rng.randint(0, 4))
+        if 1 <= sum(m) <= 5:
+            support.add(m)
+    return GFPoly.make(2, p, [(m, rng.randint(1, p - 1)) for m in sorted(support)])
+
+
+def test_nu_root_closed_form_matches_dp(monkeypatch):
+    """nu of principal binomials and trinomials equals nu_dp, and the level-e
+    window is skipped exactly when nu(l) = (p^l - 1) lct(T) at a level l < e."""
+    levels, fired = [], []
+    escapes = frobenius._escapes
+
+    def recorded(powers, r, level):
+        levels.append(level)
+        return escapes(powers, r, level)
+
+    monkeypatch.setattr(frobenius, "_escapes", recorded)
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def check(seed):
+        rng = random.Random(seed)
+        p = rng.choice([2, 3, 5, 7])
+        e = rng.choice([e for e in (2, 3, 4, 5) if p**e <= 49])
+        f = _principal_curve(rng, p)
+        lct = _term_ideal_lct([f])
+        expected = [nu_dp([f], p**level) for level in range(1, e + 1)]
+        levels.clear()
+        assert nu(Ideal([f], n=2, p=p), e).nu == expected[-1]
+        meets = any(v == (p**level - 1) * lct for level, v in enumerate(expected[:-1], start=1))
+        assert (e not in levels) == meets
+        fired.append(meets)
+
+    check()
+    assert any(fired)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_power_table_matches_eager(seed):
+    """Every entry of the lazy table spans the same space as the eager one."""
+    rng = random.Random(seed)
+    a = _rand_root_ideal(rng)
+    gens = list(a.gens)
+    table = frobenius._PowerTable(gens)
+    eager = eager_powers(gens)
+    assert len(table) == len(eager)
+    for t in rng.sample(range(len(eager)), min(4, len(eager))):
+        rank = len(echelonize(eager[t], a.n, a.p))
+        assert len(echelonize(table[t], a.n, a.p)) == rank
+        assert len(echelonize(table[t] + eager[t], a.n, a.p)) == rank
+
+
+def test_power_table_builds_only_what_is_read(monkeypatch):
+    # The eager table passed POWER_TABLE_CAP at p >= 59 and raised CapacityError.
+    assert nu(ideal(["x^2 + y^3", "x^3 + y^2"], p=59), 3).nu == 59**3 - 1
+    # Four generators at 5^2: the eager table took seconds.
+    four = ideal(["4*x^2*y + 3*y", "4*x^2*y + 3*x", "y^3 + 3*x", "x^2*y^2"])
+    assert nu(four, 2).nu == 48
+    # (a^1)^[1/q] reads a^1 only, which builds nothing.
+    a = ideal(["x^2 + y", "x*y + x", "y^2 + x*y", "x^3 + y^2"], p=3)
+    cap = 20
+    assert sum(len(h.terms) for span in eager_powers(list(a.gens)) for h in span) > cap
+    monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", cap)
+    q = prime_power(3, 2)
+    assert _power_root(a, 1, q).equals(frobenius_root(a, q))
 
 
 @given(st.integers(0, 10**6))
