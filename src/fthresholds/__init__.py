@@ -32,7 +32,6 @@ from .reduction import (
     corpus,
     reduce_mod_p,
     truncate_ideal,
-    truncate_integer_ideal,
 )
 from .experiment import ConvergenceReport, SweepRecord, convergence_report, emit, sweep
 
@@ -48,6 +47,5 @@ __all__ = [
     "INFINITY", "NewtonPolytope", "jumping_candidates", "lct_monomial",
     "multiplier_ideal_monomial", "newton_order",
     "CorpusEntry", "IntegerIdeal", "corpus", "reduce_mod_p", "truncate_ideal",
-    "truncate_integer_ideal",
     "ConvergenceReport", "SweepRecord", "convergence_report", "emit", "sweep",
 ]

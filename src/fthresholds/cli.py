@@ -1,5 +1,15 @@
 """Command-line interface: one binary, subcommand style, exact output only.
 
+The paper's two headline experiments:
+
+    fthresh sweep --gens "x^2 + y^3" -n 2 --primes 5..47 --qmax 100000 \
+        --target 5/6 --out results/sweep.json
+    fthresh truncation --gens "x^2 + y^3" -n 2 --primes 7,13 --qmax 10000
+
+The first encloses fpt of the cusp's reductions against its lct 5/6; the
+second checks that a -> a + m^d moves each enclosure by at most n/d, for
+d = --dmin..--dmax.
+
 Exit codes: 0 success, 1 usage/domain error, 2 capacity cap hit,
 3 invariant violation.
 """
@@ -12,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from .errors import CapacityError, DomainError, InvariantViolation, ParseError
-from .exact import format_rational, parse_primes, parse_rational
+from .exact import format_rational, parse_primes, parse_rational, prime_power
 from .frobenius import (
     fpt_enclosure,
     fpt_point,
@@ -22,9 +32,16 @@ from .frobenius import (
 )
 from .groebner import Ideal, MonomialIdeal
 from .newton import INFINITY, jumping_candidates, lct_monomial, multiplier_ideal_monomial
-from .parsing import parse_ideal
+from .parsing import parse_ideal, parse_int_poly
 from .reduction import IntegerIdeal, corpus
-from .experiment import SweepIssue, convergence_report, emit, report_to_json, sweep
+from .experiment import (
+    SweepIssue,
+    convergence_report,
+    emit,
+    report_to_json,
+    sweep,
+    truncation_table,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,8 +60,6 @@ def _split_gens(text: str) -> list[str]:
 def _monomial_ideal_from_args(args) -> MonomialIdeal:
     # The lct-side commands accept the polynomial grammar restricted to
     # single-term generators; coefficients are irrelevant and must be absent.
-    from .parsing import parse_int_poly
-
     points = []
     for text in _split_gens(args.gens):
         terms = parse_int_poly(text, args.n)
@@ -78,8 +93,6 @@ def _cmd_fpt(args) -> int:
 
 
 def _cmd_froot(args) -> int:
-    from .exact import prime_power
-
     ideal = parse_ideal(_split_gens(args.gens), args.n, args.p)
     root = frobenius_root(ideal, prime_power(args.p, args.e))
     basis = root.groebner_basis()
@@ -147,6 +160,33 @@ def _cmd_sweep(args) -> int:
         return EXIT_INVARIANT
     if any(issue.kind == "capacity" for issue in issues):
         return EXIT_CAPACITY
+    return EXIT_OK
+
+
+def _cmd_truncation(args) -> int:
+    ideal = IntegerIdeal.from_strings(_split_gens(args.gens), args.n)
+    primes = parse_primes(args.primes)
+    records = truncation_table(ideal, primes, args.qmax, args.dmin, args.dmax)
+    all_ok = all(r.ok for r in records)
+    payload = {
+        "records": [{
+            "p": r.p,
+            "e": r.e,
+            "d": r.d,
+            "base_low": format_rational(r.base.low),
+            "base_high": format_rational(r.base.high),
+            "trunc_low": format_rational(r.trunc.low),
+            "trunc_high": format_rational(r.trunc.high),
+            "gap": format_rational(r.gap),
+            "bound": format_rational(r.bound),
+            "ok": r.ok,
+        } for r in records],
+        "all_ok": all_ok,
+    }
+    print(json.dumps(payload))
+    if not all_ok:
+        print("invariant violation: a truncation gap exceeds n/d", file=sys.stderr)
+        return EXIT_INVARIANT
     return EXIT_OK
 
 
@@ -219,17 +259,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_jumps.add_argument("--bound", required=True, help='bound "n/d"')
     p_jumps.set_defaults(func=_cmd_jumps)
 
+    def add_experiment_flags(p):
+        p.add_argument("--gens", required=True, help="comma-separated integer polynomials")
+        p.add_argument("-n", type=int, required=True)
+        p.add_argument("--primes", required=True, help='"a..b" or "p1,p2,..."')
+        p.add_argument("--qmax", type=int, required=True,
+                       help="use the largest e with p^e <= qmax")
+
     p_sweep = sub.add_parser("sweep", help="fpt enclosures across primes")
-    p_sweep.add_argument("--gens", required=True,
-                         help="comma-separated integer polynomials")
-    p_sweep.add_argument("-n", type=int, required=True)
-    p_sweep.add_argument("--primes", required=True, help='"a..b" or "p1,p2,..."')
-    p_sweep.add_argument("--qmax", type=int, required=True,
-                         help="use the largest e with p^e <= qmax")
+    add_experiment_flags(p_sweep)
     p_sweep.add_argument("--target", default=None, help='known lct "n/d" (optional)')
     p_sweep.add_argument("--out", default=None, help="report path")
     p_sweep.add_argument("--format", choices=["csv", "json"], default="json")
     p_sweep.set_defaults(func=_cmd_sweep)
+
+    p_trunc = sub.add_parser("truncation", help="how a -> a + m^d moves fpt enclosures")
+    add_experiment_flags(p_trunc)
+    p_trunc.add_argument("--dmin", type=int, default=3, help="smallest d (default 3)")
+    p_trunc.add_argument("--dmax", type=int, default=8, help="largest d (default 8)")
+    p_trunc.set_defaults(func=_cmd_truncation)
 
     p_corpus = sub.add_parser("corpus", help="print the known-lct corpus")
     p_corpus.set_defaults(func=_cmd_corpus)

@@ -1,4 +1,5 @@
-"""Prime sweeps of fpt enclosures with exact convergence reports.
+"""The paper's two experiments: prime sweeps of fpt enclosures with exact
+convergence reports, and the table of how a -> a + m^d moves the enclosure.
 
 For each prime the sweep uses the largest exponent e with p^e <= q_max,
 computes the enclosure of the reduced ideal, and emits records sorted by
@@ -19,8 +20,8 @@ from pathlib import Path
 
 from .errors import CapacityError, DegenerateReductionError, DomainError
 from .exact import format_rational
-from .frobenius import fpt_enclosure
-from .reduction import IntegerIdeal, reduce_mod_p
+from .frobenius import FptEnclosure, fpt_enclosure
+from .reduction import IntegerIdeal, reduce_mod_p, truncate_ideal
 
 CSV_HEADER = "p,e,nu,low,high,elapsed_ms"
 
@@ -42,6 +43,20 @@ class SweepIssue:
     p: int
     kind: str  # "degenerate" | "capacity" | "domain" | "no-exponent"
     message: str
+
+
+@dataclass(frozen=True)
+class TruncationRecord:
+    """The enclosures of a_p and a_p + m^d at one (p, d), and their gap."""
+
+    p: int
+    e: int
+    d: int
+    base: FptEnclosure
+    trunc: FptEnclosure
+    gap: Fraction
+    bound: Fraction
+    ok: bool
 
 
 @dataclass
@@ -99,6 +114,30 @@ def sweep(ideal: IntegerIdeal, primes: list[int], q_max: int, *,
     records.sort(key=lambda r: (r.p, r.e))
     if issues is not None:
         issues.extend(sorted(skipped, key=lambda i: i.p))
+    return records
+
+
+def truncation_table(ideal: IntegerIdeal, primes: list[int], q_max: int,
+                     dmin: int, dmax: int) -> list[TruncationRecord]:
+    """One record per (p, d), d = dmin..dmax, in the order of the primes given.
+
+    Adding m^d moves the threshold by at most n/d, so the gap between the
+    enclosures of a_p and a_p + m^d (zero when they overlap) must stay within
+    that bound; `ok` says whether it does.  Primes with p > q_max are skipped.
+    """
+    records: list[TruncationRecord] = []
+    for p in primes:
+        e = largest_exponent(p, q_max)
+        if e is None:
+            continue
+        base_ideal = reduce_mod_p(ideal, p)
+        base = fpt_enclosure(base_ideal, e)
+        for d in range(dmin, dmax + 1):
+            trunc = fpt_enclosure(truncate_ideal(base_ideal, d), e)
+            gap = max(trunc.low - base.high, base.low - trunc.high, Fraction(0))
+            bound = Fraction(ideal.n, d)
+            records.append(TruncationRecord(p=p, e=e, d=d, base=base, trunc=trunc,
+                                            gap=gap, bound=bound, ok=gap <= bound))
     return records
 
 

@@ -125,23 +125,19 @@ class _Parser:
         tok = self.peek()
         coeff = 1
         exps = [0] * self.n
-        saw_factor = False
         if tok.kind == "int":
             coeff = tok.value
             self.next()
             while self.peek().kind == "op" and self.peek().value == "*":
                 self.next()
                 self.parse_factor(exps)
-                saw_factor = True
         elif tok.kind == "var":
             self.parse_factor(exps)
-            saw_factor = True
             while self.peek().kind == "op" and self.peek().value == "*":
                 self.next()
                 self.parse_factor(exps)
         else:
             self.fail(f"expected a term, got {tok.value!r}")
-        del saw_factor
         mono = tuple(exps)
         terms[mono] = terms.get(mono, 0) + sign * coeff
 

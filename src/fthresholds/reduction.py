@@ -19,7 +19,7 @@ from .errors import DegenerateReductionError, DomainError
 from .exact import parse_rational
 from .gfpoly import GFPoly, Monomial
 from .groebner import Ideal
-from .parsing import TermDict, format_terms, parse_int_poly
+from .parsing import format_terms, parse_int_poly
 
 
 @dataclass(frozen=True)
@@ -84,14 +84,6 @@ def truncate_ideal(a: Ideal, d: int) -> Ideal:
         raise DomainError("truncation order must be >= 1")
     extra = [GFPoly.from_monomial(m, a.n, a.p) for m in degree_monomials(a.n, d)]
     return Ideal(list(a.gens) + extra, n=a.n, p=a.p)
-
-
-def truncate_integer_ideal(I: IntegerIdeal, d: int) -> IntegerIdeal:
-    """Integer-side truncation; commutes with reduce_mod_p."""
-    if d < 1:
-        raise DomainError("truncation order must be >= 1")
-    extra: list[TermDict] = [{m: 1} for m in degree_monomials(I.n, d)]
-    return IntegerIdeal(tuple(list(I.gens) + extra), I.n)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,12 @@
 The oracles here deliberately avoid the code paths they check: truncation is
 applied only once at the end (nu_dp truncates each product, which drops only
 terms that no later factor can bring back), ideal powers are expanded as
-explicit products, binomial survival is decided with exact binomial
-coefficients, and Newton-polytope orders are solved as one exact LP each
+explicit products, binomial survival is decided digit by digit with
+Lucas' theorem, and Newton-polytope orders are solved as one exact LP each
 (order_lp) instead of read off the facet normals.
 """
 
 import itertools
-import math
 import os
 import random
 from dataclasses import dataclass
@@ -116,22 +115,30 @@ def expanded_power(gens: list[GFPoly], N: int) -> list[GFPoly]:
     return list(prods)
 
 
+def _binomial_nonzero_mod_p(r: int, k: int, p: int) -> bool:
+    """Lucas' theorem: C(r, k) is nonzero mod p iff no base-p digit of k
+    exceeds the matching digit of r."""
+    while k:
+        if k % p > r % p:
+            return False
+        r //= p
+        k //= p
+    return True
+
+
 def cusp_nu_oracle(p: int, e: int) -> int:
-    """nu of (x^2 + y^3) over F_p by exact binomial survival.
+    """nu of (x^2 + y^3) over F_p by binomial survival.
 
     f^r = sum_k C(r,k) x^(2k) y^(3(r-k)); a term survives iff 2k <= q-1,
     3(r-k) <= q-1 and C(r,k) is nonzero mod p.
     """
     q = p**e
-    best = 0
-    for r in range(q):
+    for r in range(q - 1, 0, -1):
         k_lo = max(0, r - (q - 1) // 3)
         k_hi = min(r, (q - 1) // 2)
-        for k in range(k_hi, k_lo - 1, -1):
-            if math.comb(r, k) % p:
-                best = r
-                break
-    return best
+        if any(_binomial_nonzero_mod_p(r, k, p) for k in range(k_lo, k_hi + 1)):
+            return r
+    return 0
 
 
 # -- tuple-dict reference for the packed GFPoly kernels ------------------------

@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from fthresholds import frobenius
-from fthresholds.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, dispatch
+from fthresholds import cli, frobenius
+from fthresholds.cli import EXIT_CAPACITY, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, dispatch
 from fthresholds.experiment import SweepIssue, sweep
 from fthresholds.reduction import IntegerIdeal
 
@@ -114,27 +115,54 @@ def test_sweep_capacity_skips_prime(monkeypatch, capsys):
     assert [(i.p, i.kind) for i in issues] == [(101, "capacity")]
 
 
-def test_sweep_rejects_non_prime(tmp_path: Path, capsys):
+def test_sweep_rejects_non_prime(capsys):
     code = dispatch(["sweep", "--gens", "x^2+y^3", "-n", "2", "--primes", "5,9",
                      "--qmax", "100"])
+    captured = capsys.readouterr()
     assert code == EXIT_USAGE
-    assert "9 is not prime" in capsys.readouterr().err
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_cusp_sweep.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--primes", "5,9", "--out-dir", str(tmp_path)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 2
-    assert "9 is not prime" in proc.stderr and "Traceback" not in proc.stderr
+    assert "9 is not prime" in captured.err and captured.out == ""
 
 
-def test_truncation_table_rejects_non_prime():
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_truncation_table.py"
-    proc = subprocess.run([sys.executable, str(script), "--primes", "5,9"],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2
-    assert "9 is not prime" in proc.stderr and "Traceback" not in proc.stderr
-    assert proc.stdout == ""
+def test_truncation_table_rejects_non_prime(capsys):
+    code = dispatch(["truncation", "--gens", "x^2+y^3", "-n", "2", "--primes", "5,9",
+                     "--qmax", "10000"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "9 is not prime" in captured.err and captured.out == ""
+
+
+def test_truncation_command(capsys):
+    code, out = run(capsys, "truncation", "--gens", "x^3+y^4", "-n", "2", "--primes", "11",
+                    "--qmax", "10000", "--dmin", "3", "--dmax", "5")
+    assert code == EXIT_OK and out.endswith("}\n") and out.count("\n") == 1
+    payload = json.loads(out)
+    assert payload["all_ok"] is True
+    assert [(r["p"], r["e"], r["d"], r["base_low"], r["trunc_low"], r["gap"], r["bound"], r["ok"])
+            for r in payload["records"]] == [
+        (11, 3, 3, "725/1331", "886/1331", "160/1331", "2/3", True),
+        (11, 3, 4, "725/1331", "775/1331", "49/1331", "1/2", True),
+        (11, 3, 5, "725/1331", "765/1331", "39/1331", "2/5", True),
+    ]
+    # the defaults are d = 3..8; p > qmax has no exponent and gives no rows
+    code, out = run(capsys, "truncation", "--gens", "x^2+y^3", "-n", "2", "--primes", "5,101",
+                    "--qmax", "100")
+    assert code == EXIT_OK
+    assert [(r["p"], r["d"]) for r in json.loads(out)["records"]] == [(5, d) for d in range(3, 9)]
+
+
+def test_truncation_bound_violation_exits_3(monkeypatch, capsys):
+    real = cli.truncation_table
+
+    def broken(*args):
+        return [replace(r, ok=r.d != 4) for r in real(*args)]
+
+    monkeypatch.setattr(cli, "truncation_table", broken)
+    code, out = run(capsys, "truncation", "--gens", "x^2+y^3", "-n", "2", "--primes", "5",
+                    "--qmax", "5", "--dmax", "4")
+    assert code == EXIT_INVARIANT
+    payload = json.loads(out)
+    assert payload["all_ok"] is False
+    assert [r["ok"] for r in payload["records"]] == [True, False]
 
 
 def test_parse_print_parse_roundtrip(capsys):

@@ -1,4 +1,5 @@
-"""Sweep harness: record schema, exact reporting, deterministic emission."""
+"""Sweep harness: record schema, exact reporting, deterministic emission;
+the truncation table."""
 
 import json
 from fractions import Fraction
@@ -16,8 +17,10 @@ from fthresholds.experiment import (
     largest_exponent,
     report_to_json,
     sweep,
+    truncation_table,
 )
-from fthresholds.reduction import IntegerIdeal
+from fthresholds.frobenius import fpt_enclosure
+from fthresholds.reduction import IntegerIdeal, reduce_mod_p, truncate_ideal
 
 
 def cusp():
@@ -122,3 +125,20 @@ def test_sweep_repeat_identical_records():
     second = sweep(cusp(), [5, 7, 11], 1000)
     strip = lambda rs: [(r.p, r.e, r.nu, r.low, r.high) for r in rs]
     assert strip(first) == strip(second)
+
+
+def test_truncation_table_records():
+    model = IntegerIdeal.from_strings(["x^3 + y^4"], 2)
+    records = truncation_table(model, [11, 5, 10007], 10**4, 3, 4)
+    # primes keep their order; 10007 > q_max has no exponent
+    assert [(r.p, r.e, r.d) for r in records] == [(11, 3, 3), (11, 3, 4), (5, 5, 3), (5, 5, 4)]
+    assert [r.gap for r in records] == [Fraction(160, 1331), Fraction(49, 1331),
+                                        Fraction(259, 3125), Fraction(0)]
+    for r in records:
+        a = reduce_mod_p(model, r.p)
+        assert r.base == fpt_enclosure(a, r.e)
+        assert r.trunc == fpt_enclosure(truncate_ideal(a, r.d), r.e)
+        assert r.bound == Fraction(2, r.d) and r.ok
+    assert truncation_table(model, [5], 10**4, 4, 3) == []
+    with pytest.raises(DomainError):
+        truncation_table(model, [5], 10**4, 0, 1)

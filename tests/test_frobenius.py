@@ -486,7 +486,7 @@ def test_nu_root_closed_form():
     for e in range(1, 5):
         assert nu(ideal(["x^2 + y^2"], p=5), e).nu == 5**e - 1
     # The cusp meets 5/6 at level 1 for p = 1 (mod 6).
-    for p, e in ((7, 3), (13, 2), (19, 2)):
+    for p, e in ((7, 3), (13, 2), (19, 2), (19, 3), (7, 5)):
         assert nu(cusp(p), e).nu == cusp_nu_oracle(p, e)
 
 

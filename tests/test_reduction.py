@@ -1,11 +1,8 @@
 """Integer models, reduction mod p, truncation, and the corpus."""
 
-import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fthresholds.errors import DegenerateReductionError, DomainError
 from fthresholds.frobenius import fpt_enclosure
@@ -19,7 +16,6 @@ from fthresholds.reduction import (
     degree_monomials,
     reduce_mod_p,
     truncate_ideal,
-    truncate_integer_ideal,
 )
 
 
@@ -58,32 +54,6 @@ def test_truncate_examples():
     a5 = truncate_ideal(a, 1)
     assert a5.contains(parse_gfpoly("x", 2, 5))
     assert a5.contains(parse_gfpoly("y", 2, 5))
-
-
-@given(st.integers(0, 10**6))
-@settings(max_examples=25, deadline=None)
-def test_truncate_commutes_with_reduction(seed):
-    rng = random.Random(seed)
-    n = rng.choice([1, 2])
-    gens = []
-    for _ in range(rng.randint(1, 2)):
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            mono = tuple(rng.randint(0, 3) for _ in range(n))
-            terms[mono] = rng.randint(-6, 6)
-        if any(terms.values()):
-            gens.append(terms)
-    if not gens:
-        return
-    I = IntegerIdeal(tuple(gens), n)
-    p = rng.choice([2, 3, 5])
-    d = rng.randint(1, 3)
-    try:
-        first = truncate_ideal(reduce_mod_p(I, p), d)
-        second = reduce_mod_p(truncate_integer_ideal(I, d), p)
-    except DegenerateReductionError:
-        return
-    assert first.equals(second)
 
 
 def test_corpus_contents():
