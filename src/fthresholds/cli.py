@@ -136,6 +136,12 @@ def _cmd_jumps(args) -> int:
     return EXIT_OK
 
 
+def _warn_skipped(issues: list[SweepIssue]) -> None:
+    for issue in issues:
+        print(f"warning: p={issue.p} skipped ({issue.kind}): {issue.message}",
+              file=sys.stderr)
+
+
 def _cmd_sweep(args) -> int:
     ideal = IntegerIdeal.from_strings(_split_gens(args.gens), args.n)
     if not ideal.vanishes_at_origin():
@@ -144,9 +150,7 @@ def _cmd_sweep(args) -> int:
     target = parse_rational(args.target) if args.target else None
     issues: list[SweepIssue] = []
     records = sweep(ideal, primes, args.qmax, issues=issues)
-    for issue in issues:
-        print(f"warning: p={issue.p} skipped ({issue.kind}): {issue.message}",
-              file=sys.stderr)
+    _warn_skipped(issues)
     report = convergence_report(records, target)
     if args.out:
         emit(report, args.format, args.out)
@@ -166,7 +170,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_truncation(args) -> int:
     ideal = IntegerIdeal.from_strings(_split_gens(args.gens), args.n)
     primes = parse_primes(args.primes)
-    records = truncation_table(ideal, primes, args.qmax, args.dmin, args.dmax)
+    issues: list[SweepIssue] = []
+    records = truncation_table(ideal, primes, args.qmax, args.dmin, args.dmax, issues)
+    _warn_skipped(issues)
     all_ok = all(r.ok for r in records)
     payload = {
         "records": [{

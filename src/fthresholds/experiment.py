@@ -79,17 +79,12 @@ def largest_exponent(p: int, q_max: int) -> int | None:
     return e
 
 
-def sweep(ideal: IntegerIdeal, primes: list[int], q_max: int, *,
-          issues: list[SweepIssue] | None = None) -> list[SweepRecord]:
-    """One enclosure record per usable prime, sorted by (p, e).
-
-    Degenerate reductions and capacity failures are recorded in `issues`
-    (when given) and skipped; they never abort the sweep.
-    """
+def _usable_primes(ideal: IntegerIdeal, primes: list[int], q_max: int,
+                   skipped: list[SweepIssue]):
+    """(p, e, a_p) for each prime with an exponent and a nondegenerate
+    reduction, in the order given; the others go to `skipped`."""
     if len(set(primes)) != len(primes):
         raise DomainError("primes must be distinct")
-    records: list[SweepRecord] = []
-    skipped: list[SweepIssue] = []
     for p in primes:
         e = largest_exponent(p, q_max)
         if e is None:
@@ -100,6 +95,19 @@ def sweep(ideal: IntegerIdeal, primes: list[int], q_max: int, *,
         except DegenerateReductionError as exc:
             skipped.append(SweepIssue(p, "degenerate", str(exc)))
             continue
+        yield p, e, reduced
+
+
+def sweep(ideal: IntegerIdeal, primes: list[int], q_max: int, *,
+          issues: list[SweepIssue] | None = None) -> list[SweepRecord]:
+    """One enclosure record per usable prime, sorted by (p, e).
+
+    Degenerate reductions and capacity failures are recorded in `issues`
+    (when given) and skipped; they never abort the sweep.
+    """
+    records: list[SweepRecord] = []
+    skipped: list[SweepIssue] = []
+    for p, e, reduced in _usable_primes(ideal, primes, q_max, skipped):
         t0 = time.perf_counter()
         try:
             enc = fpt_enclosure(reduced, e)
@@ -118,19 +126,19 @@ def sweep(ideal: IntegerIdeal, primes: list[int], q_max: int, *,
 
 
 def truncation_table(ideal: IntegerIdeal, primes: list[int], q_max: int,
-                     dmin: int, dmax: int) -> list[TruncationRecord]:
+                     dmin: int, dmax: int,
+                     issues: list[SweepIssue] | None = None) -> list[TruncationRecord]:
     """One record per (p, d), d = dmin..dmax, in the order of the primes given.
 
     Adding m^d moves the threshold by at most n/d, so the gap between the
     enclosures of a_p and a_p + m^d (zero when they overlap) must stay within
-    that bound; `ok` says whether it does.  Primes with p > q_max are skipped.
+    that bound; `ok` says whether it does.  Primes must be distinct; those
+    with p > q_max or a degenerate reduction are recorded in `issues` (when
+    given) and skipped, as in sweep.
     """
     records: list[TruncationRecord] = []
-    for p in primes:
-        e = largest_exponent(p, q_max)
-        if e is None:
-            continue
-        base_ideal = reduce_mod_p(ideal, p)
+    skipped = [] if issues is None else issues
+    for p, e, base_ideal in _usable_primes(ideal, primes, q_max, skipped):
         base = fpt_enclosure(base_ideal, e)
         for d in range(dmin, dmax + 1):
             trunc = fpt_enclosure(truncate_ideal(base_ideal, d), e)

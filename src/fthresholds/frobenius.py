@@ -117,14 +117,16 @@ class _PowerTable:
 
     powers[t] is [f^t] for k = 1 and the echelonized products g^c with
     |c| = t otherwise.  The per-generator powers g_i^j those products need are
-    built on first use as well.  Every polynomial the table builds, and every
-    truncated span of _nu_root's first level, is counted against
-    POWER_TABLE_CAP as it is added; CapacityError names the entry that passed
-    the cap.
+    built on first use as well.  With a `box` the entries are kept modulo
+    m^[box]: a product is truncated when its factors' total degrees add up to
+    box or more, and no term of any other product can leave the box.  Every
+    polynomial the table builds is counted against POWER_TABLE_CAP as it is
+    added; CapacityError names the entry whose read passed the cap.
     """
 
-    def __init__(self, gens: list[GFPoly]):
+    def __init__(self, gens: list[GFPoly], box: int | None = None):
         self.gens = gens
+        self.box = box
         self.n, self.p = gens[0].n, gens[0].p
         one = GFPoly.one(self.n, self.p)
         self.spans = {0: [one]}
@@ -144,18 +146,23 @@ class _PowerTable:
             self.spans[t] = span
         return span
 
-    def count(self, poly: GFPoly, t: int) -> GFPoly:
-        """poly, after adding its terms to the count of terms built for a^t."""
-        self.terms += len(poly.terms)
+    def _mul(self, f: GFPoly, g: GFPoly, t: int) -> GFPoly:
+        """f g, modulo m^[box] if any, counted against the cap as part of a^t."""
+        box = self.box
+        if box and f.total_degree() + g.total_degree() >= box:
+            prod = f.mul_truncated(g, box)
+        else:
+            prod = f * g
+        self.terms += len(prod.terms)
         if self.terms > POWER_TABLE_CAP:
             raise CapacityError(f"power table cap of {POWER_TABLE_CAP} terms exceeded "
                                 f"at a^{t} ({self.terms} terms)")
-        return poly
+        return prod
 
     def _gen_power(self, i: int, j: int, t: int) -> GFPoly:
         powers = self.gen_powers[i]
         while len(powers) <= j:
-            powers.append(self.count(powers[-1] * powers[1], t))
+            powers.append(self._mul(powers[-1], powers[1], t))
         return powers[j]
 
     def _products(self, i: int, s: int, t: int) -> list[GFPoly]:
@@ -166,7 +173,7 @@ class _PowerTable:
         for j in range(s + 1):
             gj = self._gen_power(i, j, t)
             for h in self._products(i + 1, s - j, t):
-                out.append(h if j == 0 else gj if j == s else self.count(gj * h, t))
+                out.append(h if j == 0 else gj if j == s else self._mul(gj, h, t))
         return out
 
 
@@ -177,17 +184,27 @@ def _digit(M: int, top: int, p: int) -> int:
     return t - (t - M) % p
 
 
-def _digit_root(powers: _PowerTable, N: int, e: int) -> tuple[list[GFPoly], int]:
+def _digit_root(powers: _PowerTable, N: int, e: int, *,
+                truncate: bool = False) -> tuple[list[GFPoly], int]:
     """(J, M) with (a^N)^[1/p^e] = a^M (J), from powers = _PowerTable(gens of a):
-    the digit identity of the module docstring, once per level."""
+    the digit identity of the module docstring, once per level.
+
+    With truncate=True, J is computed modulo m only, which is all _escapes
+    asks.  Since (I + m^[Q])^[1/p] = I^[1/p] + m^[Q/p], the step-i products
+    are then needed only modulo m^[p^(e-i)], so every term with an exponent
+    >= p^(e-i) is dropped.  The J of the previous step already lies in that box.
+    """
     one = powers[0][0]
     n, p = one.n, one.p
     top = len(powers) - 1
     J, M = [one], N
-    for _ in range(e):
+    for i in range(e):
         t = _digit(M, top, p)
-        prods = J if t == 0 else [h * g for h in powers[t] for g in J]
-        J = _root_step(prods, n, p, p)
+        if t:
+            box = p**(e - i)
+            J = [h.mul_truncated(g, box) if truncate else h * g
+                 for h in powers[t] for g in J]
+        J = _root_step(J, n, p, p)
         M = (M - t) // p
     return J, M
 
@@ -195,24 +212,10 @@ def _digit_root(powers: _PowerTable, N: int, e: int) -> tuple[list[GFPoly], int]
 def _escapes(powers: _PowerTable, r: int, level: int) -> bool:
     """Whether a^r is not contained in m^[p^level], powers = _PowerTable(gens).
 
-    The digit loop of _digit_root, computed modulo m: by adjunction a^r
-    escapes iff (a^r)^[1/p^level] = a^M (J) is not inside m, that is iff M = 0
-    and some generator of J has a nonzero constant term.  Since
-    (I + m^[Q])^[1/p] = I^[1/p] + m^[Q/p], the step-i products are needed only
-    modulo m^[p^(level-i)], so every term with an exponent >= p^(level-i) is
-    dropped.  The J of the previous step already lies in that box.
+    By adjunction a^r escapes iff (a^r)^[1/p^level] = a^M (J) is not inside m,
+    that is iff M = 0 and some generator of J has a nonzero constant term.
     """
-    one = powers[0][0]
-    n, p = one.n, one.p
-    top = len(powers) - 1
-    J, M = [one], r
-    for i in range(level):
-        t = _digit(M, top, p)
-        if t:
-            box = p**(level - i)
-            J = [h.mul_truncated(g, box) for h in powers[t] for g in J]
-        J = _root_step(J, n, p, p)
-        M = (M - t) // p
+    J, M = _digit_root(powers, r, level, truncate=True)
     return M == 0 and any(g.constant_term() for g in J)
 
 
@@ -281,13 +284,10 @@ def _nu_root(gens: list[GFPoly], e: int) -> int:
 
     Hence nu(l) <= floor((p^l - 1) lct).
 
-    Levels.  nu(1) is the last t for which the span of a^t taken modulo
-    m^[p] is not empty: each span is the previous one times the generators,
-    multiplied with mul_truncated(., p), echelonized when k > 1, and the chain
-    stops at the first empty span (a^(k(p-1)+1) lies in a^[p], inside m^[p]).
-    Then p nu(l) <= nu(l+1) <= p nu(l) + k(p-1) (FptEnclosure with q' = p),
-    and the window is scanned from its top, or from floor((p^l - 1) lct) when
-    that is lower, with _escapes.
+    Levels.  nu(0) = 0, and p nu(l) <= nu(l+1) <= p nu(l) + k(p-1)
+    (FptEnclosure with q' = p).  Each level l = 1..e scans that window with
+    _escapes, from its top or from floor((p^l - 1) lct) when that is lower.
+    At level 1, r = 0 always escapes (a^0 = R), so the scan finds its value.
 
     Closed form.  For a principal ideal (k = 1), once a level l gives
     nu(l) = (p^l - 1) lct, the two bounds meet and fpt = lct.  For principal
@@ -296,30 +296,25 @@ def _nu_root(gens: list[GFPoly], e: int) -> int:
     k >= 2 nu is not a function of fpt (nu((x+y^2, y+x^2), 3^2) = 16, while
     fpt = lct = 2), so those ideals keep probing.
 
-    The powers come from a _PowerTable that builds each a^t on its first read;
-    the probes read only the digits they meet.
+    The powers come from a _PowerTable that builds each a^t on its first read,
+    modulo m^[p^e], as every probe truncates them to m^[p^l] with l <= e.
     """
     p, n = gens[0].p, gens[0].n
     k = len(gens)
-    powers = _PowerTable(gens)
+    powers = _PowerTable(gens, p**e)
     top = len(powers) - 1
     points = [m for g in gens for m in g.terms]
     lct = min(sum(w) for w in NewtonPolytope.from_points(points, n).vertices)
     num, den = lct.numerator, lct.denominator
-    span, value = powers[0], -1
-    while span:
-        value += 1
-        span = [powers.count(h.mul_truncated(g, p), value + 1) for h in span for g in gens]
-        span = echelonize(span, n, p) if k > 1 else [h for h in span if not h.is_zero]
+    value = 0
     for level in range(1, e + 1):
-        if level > 1:
-            cap = (p**level - 1) * num // den
-            for r in range(min(p * value + top, cap), p * value - 1, -1):
-                if _escapes(powers, r, level):
-                    value = r
-                    break
-            else:
-                raise InvariantViolation("nu window lost its lower bound")
+        cap = (p**level - 1) * num // den
+        for r in range(min(p * value + top, cap), p * value - 1, -1):
+            if _escapes(powers, r, level):
+                value = r
+                break
+        else:
+            raise InvariantViolation("nu window lost its lower bound")
         if k == 1 and value * den == (p**level - 1) * num:
             return -(-num * p**e // den) - 1
     return value
@@ -413,15 +408,15 @@ def nu(a: Ideal, e: int) -> NuValue:
         monomial: the Frobenius-split route (_nu_split) for (f) + M, truncated
         powers of f against a branch-and-bound over the monomials M; TERM_CAP
         bounds each power, NODE_CAP the search;
-      * every other ideal: the digit root (_nu_root), over a table of a^t,
-        t <= k(p-1), whose entries are built on first read and whose terms
-        are capped by POWER_TABLE_CAP.  Each level scans the window
-        [p nu, p nu + k(p-1)] from the top, capped by the lct of the term
-        ideal, and decides each probe modulo m with products truncated to
-        the box that still matters (_escapes).  A principal ideal stops at
-        the first level where nu meets that cap, with the closed form
-        ceil(lct p^e) - 1.  The _nu_root docstring proves both bounds,
-        nu(l)/(p^l - 1) <= fpt <= lct of the term ideal.
+      * every other ideal: the digit root (_nu_root), over a table of a^t
+        modulo m^[p^e], t <= k(p-1), whose entries are built on first read
+        and whose terms are capped by POWER_TABLE_CAP.  From nu(0) = 0, each
+        level l = 1..e scans the window [p nu, p nu + k(p-1)] from the top,
+        capped by floor((p^l - 1) lct) for the lct of the term ideal, and
+        decides each probe modulo m with products truncated to the box that
+        still matters (_escapes).  A principal ideal stops at the first level
+        where nu meets that cap, with the closed form ceil(lct p^e) - 1.  The
+        _nu_root docstring proves both bounds, nu(l)/(p^l - 1) <= fpt <= lct.
     """
     q = prime_power(a.p, e)
     for g in a.gens:

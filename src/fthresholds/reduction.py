@@ -66,16 +66,8 @@ def reduce_mod_p(I: IntegerIdeal, p: int) -> Ideal:
 
 def degree_monomials(n: int, d: int) -> list[Monomial]:
     """All exponent vectors of total degree exactly d in n variables."""
-    out = []
-    for cuts in itertools.combinations(range(d + n - 1), n - 1):
-        prev = -1
-        exps = []
-        for c in cuts:
-            exps.append(c - prev - 1)
-            prev = c
-        exps.append(d + n - 2 - prev)
-        out.append(tuple(exps))
-    return sorted(out)
+    return sorted(tuple(c.count(i) for i in range(n))
+                  for c in itertools.combinations_with_replacement(range(n), d))
 
 
 def truncate_ideal(a: Ideal, d: int) -> Ideal:

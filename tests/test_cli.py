@@ -101,7 +101,7 @@ def test_sweep_stdout_and_csv(tmp_path: Path, capsys):
 
 
 def test_sweep_capacity_skips_prime(monkeypatch, capsys):
-    # p = 5 needs a^0..a^4, 15 terms; p = 101 needs a^0..a^100, past 100.
+    # p = 5 builds f^2..f^4, 13 terms; p = 101 reads a^83 first, past 100.
     monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 100)
     code = dispatch(["sweep", "--gens", "x^2+y^3", "-n", "2", "--primes", "5,101",
                      "--qmax", "10000"])
@@ -148,6 +148,20 @@ def test_truncation_command(capsys):
                     "--qmax", "100")
     assert code == EXIT_OK
     assert [(r["p"], r["d"]) for r in json.loads(out)["records"]] == [(5, d) for d in range(3, 9)]
+
+
+def test_truncation_skips_degenerate_prime(capsys):
+    code = dispatch(["truncation", "--gens", "2*x", "-n", "2", "--primes", "2,5",
+                     "--qmax", "25", "--dmax", "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert [(r["p"], r["d"]) for r in json.loads(captured.out)["records"]] == [(5, 3)]
+    assert "warning: p=2 skipped (degenerate)" in captured.err
+    code = dispatch(["truncation", "--gens", "x^2+y^3", "-n", "2", "--primes", "5,5",
+                     "--qmax", "25"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "distinct" in captured.err and captured.out == ""
 
 
 def test_truncation_bound_violation_exits_3(monkeypatch, capsys):

@@ -142,3 +142,11 @@ def test_truncation_table_records():
     assert truncation_table(model, [5], 10**4, 4, 3) == []
     with pytest.raises(DomainError):
         truncation_table(model, [5], 10**4, 0, 1)
+    # degenerate primes and primes without an exponent are skipped, as in sweep
+    issues = []
+    records = truncation_table(IntegerIdeal.from_strings(["2*x"], 2), [5, 2, 101], 25, 3, 3,
+                               issues)
+    assert [(r.p, r.e, r.d) for r in records] == [(5, 2, 3)]
+    assert [(i.p, i.kind) for i in issues] == [(2, "degenerate"), (101, "no-exponent")]
+    with pytest.raises(DomainError, match="distinct"):
+        truncation_table(cusp(), [5, 5], 25, 3, 3)

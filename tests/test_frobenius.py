@@ -466,19 +466,20 @@ def test_nu_root_probe_counts(monkeypatch):
         return escapes(powers, r, level)
 
     monkeypatch.setattr(frobenius, "_escapes", counted)
+    # Level 1 probes like every other level, from min(p - 1, floor((p - 1) lct(T))).
     # nu(1) = 5 = (7 - 1) * 5/6 = (p - 1) lct(T): the closed form answers.
     assert nu(cusp(7), 4).nu == 2000
-    assert len(calls) == 0
+    assert calls == [(5, 1)]
     calls.clear()
     # At p = 5 the bounds never meet (fpt = 4/5 < 5/6), so every level probes.
     assert nu(cusp(5), 4).nu == 499
-    assert len(calls) == 3
+    assert calls == [(3, 1), (19, 2), (99, 3), (499, 4)]
     calls.clear()
     assert nu(cusp(13), 3).nu == 1830
-    assert len(calls) == 0
+    assert calls == [(10, 1)]
     calls.clear()
     assert nu(ideal(["x^2 + y^3", "x*y^2 + x^3*y"], p=11), 3).nu == 1105
-    assert len(calls) == 6
+    assert len(calls) == 7 and calls[0] == (8, 1)
 
 
 def test_nu_root_closed_form():
@@ -662,13 +663,18 @@ def test_tau_general_route_matches_principal():
 
 
 def test_power_table_capacity(monkeypatch):
-    # The table of a^t, t <= k(p-1), holds 1 + 2 + 3 + 4 + 5 = 15 terms up to a^4.
+    # Level 1 of nu reads a^6 first, min(p - 1, floor((p - 1) lct(T))) = 6: the
+    # table holds 1 + 3 + 4 + 5 = 13 terms up to f^4, and f^5 adds 6 more.
     monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 15)
     f = ideal(["x + y"], p=7)
-    with pytest.raises(CapacityError, match=r"at a\^5 \(21 terms\)"):
+    with pytest.raises(CapacityError, match=r"at a\^6 \(19 terms\)"):
         nu(f, 1)
     with pytest.raises(CapacityError, match="power table cap of 15"):
         tau_chain(ideal(["x^2 + y", "x*y + x"], p=5), Fraction(3, 2), 3)
+    # nu keeps its table modulo m^[p^e]: f^2 = x^6 + 2 x^3 y^4 + y^8 is kept as
+    # its one term 2 x^3 y^4 inside the box 5, and fits a cap of 3 terms.
+    monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 3)
+    assert nu(ideal(["x^3 + y^4"], p=5), 1).nu == 2
 
 
 def test_tau_monomial_route():
