@@ -38,6 +38,7 @@ from .experiment import (
     SweepIssue,
     convergence_report,
     emit,
+    report_to_csv,
     report_to_json,
     sweep,
     truncation_table,
@@ -157,7 +158,8 @@ def _cmd_sweep(args) -> int:
         print(f"wrote {args.format} report to {args.out} "
               f"({len(report.records)} records)")
     else:
-        sys.stdout.write(report_to_json(report))
+        render = report_to_csv if args.format == "csv" else report_to_json
+        sys.stdout.write(render(report))
     hard_failure = not report.monotone_ok or report.below_lct_ok is False
     if hard_failure:
         print("invariant violation in sweep report", file=sys.stderr)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import CapacityError, DomainError, InvariantViolation
 from .exact import PrimePower, farey_below, prime_power, simplest_between
@@ -104,11 +104,9 @@ def frobenius_root(b: Ideal, q: PrimePower) -> Ideal:
 
 def _root_step(polys: Iterable[GFPoly], n: int, p: int, qv: int) -> list[GFPoly]:
     """The q-th Frobenius root, q = qv, of the ideal generated by `polys`,
-    echelonized."""
-    pieces: list[GFPoly] = []
-    for g in polys:
-        pieces.extend(g.root_pieces(qv))
-    return echelonize(pieces, n, p)
+    echelonized.  `polys` is read once, and each polynomial's pieces go
+    straight into the echelon: only the current basis is kept."""
+    return echelonize((piece for g in polys for piece in g.root_pieces(qv)), n, p)
 
 
 class _PowerTable:
@@ -117,11 +115,13 @@ class _PowerTable:
 
     powers[t] is [f^t] for k = 1 and the echelonized products g^c with
     |c| = t otherwise.  The per-generator powers g_i^j those products need are
-    built on first use as well.  With a `box` the entries are kept modulo
-    m^[box]: a product is truncated when its factors' total degrees add up to
-    box or more, and no term of any other product can leave the box.  Every
-    polynomial the table builds is counted against POWER_TABLE_CAP as it is
-    added; CapacityError names the entry whose read passed the cap.
+    built on first use as well.  The products stream into the echelon, so
+    only the table and the basis being built are kept.  With a `box` the
+    entries are kept modulo m^[box]: a product is truncated when its factors'
+    total degrees add up to box or more, and no term of any other product can
+    leave the box.  Every polynomial the table builds is counted against
+    POWER_TABLE_CAP as it is added; CapacityError names the entry whose read
+    passed the cap.
     """
 
     def __init__(self, gens: list[GFPoly], box: int | None = None):
@@ -165,16 +165,15 @@ class _PowerTable:
             powers.append(self._mul(powers[-1], powers[1], t))
         return powers[j]
 
-    def _products(self, i: int, s: int, t: int) -> list[GFPoly]:
-        """The products g_i^c_i ... g_k^c_k with c_i + ... + c_k = s."""
+    def _products(self, i: int, s: int, t: int) -> Iterator[GFPoly]:
+        """Yield the products g_i^c_i ... g_k^c_k with c_i + ... + c_k = s."""
         if i == len(self.gens) - 1:
-            return [self._gen_power(i, s, t)]
-        out = []
+            yield self._gen_power(i, s, t)
+            return
         for j in range(s + 1):
             gj = self._gen_power(i, j, t)
             for h in self._products(i + 1, s - j, t):
-                out.append(h if j == 0 else gj if j == s else self._mul(gj, h, t))
-        return out
+                yield h if j == 0 else gj if j == s else self._mul(gj, h, t)
 
 
 def _digit(M: int, top: int, p: int) -> int:
@@ -189,10 +188,12 @@ def _digit_root(powers: _PowerTable, N: int, e: int, *,
     """(J, M) with (a^N)^[1/p^e] = a^M (J), from powers = _PowerTable(gens of a):
     the digit identity of the module docstring, once per level.
 
-    With truncate=True, J is computed modulo m only, which is all _escapes
-    asks.  Since (I + m^[Q])^[1/p] = I^[1/p] + m^[Q/p], the step-i products
-    are then needed only modulo m^[p^(e-i)], so every term with an exponent
-    >= p^(e-i) is dropped.  The J of the previous step already lies in that box.
+    The products h g stream into _root_step, so only the table, the previous
+    J and the basis being built are kept.  With truncate=True, J is computed
+    modulo m only, which is all _escapes asks.  Since (I + m^[Q])^[1/p] =
+    I^[1/p] + m^[Q/p], the step-i products are then needed only modulo
+    m^[p^(e-i)], so every term with an exponent >= p^(e-i) is dropped.  The J
+    of the previous step already lies in that box.
     """
     one = powers[0][0]
     n, p = one.n, one.p
@@ -201,9 +202,9 @@ def _digit_root(powers: _PowerTable, N: int, e: int, *,
     for i in range(e):
         t = _digit(M, top, p)
         if t:
-            box = p**(e - i)
-            J = [h.mul_truncated(g, box) if truncate else h * g
-                 for h in powers[t] for g in J]
+            prev, box = J, p**(e - i)
+            J = (h.mul_truncated(g, box) if truncate else h * g
+                 for h in powers[t] for g in prev)
         J = _root_step(J, n, p, p)
         M = (M - t) // p
     return J, M
@@ -228,7 +229,7 @@ def _times_power(gens: list[GFPoly], M: int, J: list[GFPoly]) -> list[GFPoly]:
         return [fM * g for g in J]
     n, p = gens[0].n, gens[0].p
     for _ in range(M):
-        J = echelonize([h * g for h in gens for g in J], n, p)
+        J = echelonize((h * g for h in gens for g in J), n, p)
     return J
 
 
@@ -329,15 +330,14 @@ class _MonomialPacking:
     when its count plus the rest of the degree budget over the least remaining
     degree cannot beat the best found; no such bound exceeds the root bound
     |b| // (least degree), so a solve ends as soon as the best reaches it.
-    The generators are prepared once; `node_cap` bounds the nodes of all the
+    The generators are prepared once; NODE_CAP bounds the nodes of all the
     solves together.
     """
 
-    def __init__(self, points: list[tuple], node_cap: int):
+    def __init__(self, points: list[tuple]):
         self.gens = sorted(set(points), key=lambda m: (sum(m), drl_key(m)))
         self.degs = [sum(m) for m in self.gens]
         self.min_degree = self.degs[0]
-        self.node_cap = node_cap
         self.nodes = 0
 
     def solve(self, budget: tuple) -> int:
@@ -348,8 +348,8 @@ class _MonomialPacking:
         def rec(i: int, count: int, budget: tuple, rem: int):
             nonlocal best
             self.nodes += 1
-            if self.nodes > self.node_cap:
-                raise CapacityError(f"node cap of {self.node_cap} exceeded in monomial nu")
+            if self.nodes > NODE_CAP:
+                raise CapacityError(f"node cap of {NODE_CAP} exceeded in monomial nu")
             v = gens[i]
             cmax = min(b // x for b, x in zip(budget, v) if x)
             if i == last:
@@ -366,8 +366,7 @@ class _MonomialPacking:
         return best
 
 
-def _nu_split(f: GFPoly | None, points: list[tuple], n: int, p: int, e: int,
-              term_cap: int, node_cap: int) -> int:
+def _nu_split(f: GFPoly | None, points: list[tuple], n: int, p: int, e: int) -> int:
     """nu for (f) + M, M generated by the monomials `points` (f = None: M alone).
 
     A generator product f^i x^mu, with mu a sum of j generators of M, lies
@@ -380,7 +379,7 @@ def _nu_split(f: GFPoly | None, points: list[tuple], n: int, p: int, e: int,
     bound on a lower bound for the degrees of T_i decides whether T_i is built.
     """
     qv = p**e
-    packing = _MonomialPacking(points, node_cap)
+    packing = _MonomialPacking(points)
     mdeg = packing.min_degree
     limit = n * (qv - 1)
     best = 0
@@ -388,7 +387,7 @@ def _nu_split(f: GFPoly | None, points: list[tuple], n: int, p: int, e: int,
     def wanted(i: int, low: int) -> bool:
         return i + (limit - low) // mdeg > best
 
-    powers = [GFPoly.one(n, p)] if f is None else truncated_powers(f, e, term_cap, wanted)
+    powers = [GFPoly.one(n, p)] if f is None else truncated_powers(f, e, TERM_CAP, wanted)
     for i, t in enumerate(powers):
         if t is None:
             continue
@@ -428,7 +427,7 @@ def nu(a: Ideal, e: int) -> NuValue:
     others = [g for g in a.gens if not g.is_monomial()]
     if monos and len(others) <= 1:
         f = others[0] if others else None
-        value = _nu_split(f, monos, a.n, a.p, e, TERM_CAP, NODE_CAP)
+        value = _nu_split(f, monos, a.n, a.p, e)
     else:
         value = _nu_root(list(a.gens), e)
     return NuValue(q, value)

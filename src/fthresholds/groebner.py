@@ -150,24 +150,11 @@ class Ideal:
 
 
 def minimize_points(points: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    """Antichain of minimal exponent vectors under componentwise <=."""
-    pts = set(tuple(p) for p in points)
-    if not pts:
-        return ()
-    n = len(next(iter(pts)))
-    if n == 2:
-        # Sweep by first coordinate; a point is dominated iff some kept point
-        # with smaller-or-equal x also has smaller-or-equal y.
-        keep2: list[Monomial] = []
-        min_y = None
-        for q in sorted(pts):
-            if min_y is None or q[1] < min_y:
-                keep2.append(q)
-                min_y = q[1]
-        return tuple(sorted(keep2, key=drl_key))
-    ordered = sorted(pts, key=drl_key)
+    """Antichain of minimal exponent vectors under componentwise <=, in
+    ascending degrevlex order: a proper divisor sorts first, so one scan
+    suffices."""
     keep: list[Monomial] = []
-    for q in ordered:
+    for q in sorted(set(tuple(p) for p in points), key=drl_key):
         if not any(monomial_divides(k, q) for k in keep):
             keep.append(q)
     return tuple(keep)

@@ -43,7 +43,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from typing import Iterable, Sequence
 
 from .errors import DomainError
@@ -51,27 +51,12 @@ from .gfpoly import Monomial
 from .groebner import MonomialIdeal, minimize_points
 
 
+@total_ordering
 class _Infinity:
     """Exact positive infinity for threshold conventions (no floats)."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __gt__(self, other):
-        return not isinstance(other, _Infinity)
-
-    def __ge__(self, other):
-        return True
-
     def __lt__(self, other):
         return False
-
-    def __le__(self, other):
-        return isinstance(other, _Infinity)
 
     def __eq__(self, other):
         return isinstance(other, _Infinity)

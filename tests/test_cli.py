@@ -100,6 +100,17 @@ def test_sweep_stdout_and_csv(tmp_path: Path, capsys):
     assert csv_path.read_text().startswith("p,e,nu,low,high,elapsed_ms\n")
 
 
+def test_sweep_csv_to_stdout(capsys):
+    # Without --out the chosen format goes to stdout.
+    code, out = run(capsys, "sweep", "--gens", "x^2+y^3", "-n", "2", "--primes", "5,7",
+                    "--qmax", "100", "--format", "csv")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "p,e,nu,low,high,elapsed_ms"
+    assert [line.split(",")[:5] for line in lines[1:]] == [
+        ["5", "2", "19", "19/25", "4/5"], ["7", "2", "40", "40/49", "41/49"]]
+
+
 def test_sweep_capacity_skips_prime(monkeypatch, capsys):
     # p = 5 builds f^2..f^4, 13 terms; p = 101 reads a^83 first, past 100.
     monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 100)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -561,6 +562,23 @@ def test_power_table_builds_only_what_is_read(monkeypatch):
     monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", cap)
     q = prime_power(3, 2)
     assert _power_root(a, 1, q).equals(frobenius_root(a, q))
+
+
+def test_nu_root_memory_is_bounded_by_the_basis():
+    # Every product streams into the echelon, so the peak is the power table
+    # plus one basis, about 0.4 MB here.
+    a = ideal(["x^2 + y^3", "x*y^2 + x^3*y"], p=13)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        assert nu(a, 3).nu == 1830
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 2 * 10**6
 
 
 @given(st.integers(0, 10**6))
