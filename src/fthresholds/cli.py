@@ -32,7 +32,7 @@ from .frobenius import (
 )
 from .groebner import Ideal, MonomialIdeal
 from .newton import INFINITY, jumping_candidates, lct_monomial, multiplier_ideal_monomial
-from .parsing import parse_ideal, parse_int_poly
+from .parsing import parse_ideal, parse_int_poly, split_generators
 from .reduction import IntegerIdeal, corpus
 from .experiment import (
     SweepIssue,
@@ -51,8 +51,7 @@ EXIT_INVARIANT = 3
 
 
 def _split_gens(text: str) -> list[str]:
-    parts = [s.strip() for s in text.split(",")]
-    parts = [s for s in parts if s]
+    parts = split_generators(text)
     if not parts:
         raise DomainError("--gens must list at least one polynomial")
     return parts
@@ -137,10 +136,12 @@ def _cmd_jumps(args) -> int:
     return EXIT_OK
 
 
-def _warn_skipped(issues: list[SweepIssue]) -> None:
+def _warn_skipped(issues: list[SweepIssue]) -> bool:
+    """Print one warning per skipped prime; whether any hit a capacity cap."""
     for issue in issues:
         print(f"warning: p={issue.p} skipped ({issue.kind}): {issue.message}",
               file=sys.stderr)
+    return any(issue.kind == "capacity" for issue in issues)
 
 
 def _cmd_sweep(args) -> int:
@@ -151,7 +152,9 @@ def _cmd_sweep(args) -> int:
     target = parse_rational(args.target) if args.target else None
     issues: list[SweepIssue] = []
     records = sweep(ideal, primes, args.qmax, issues=issues)
-    _warn_skipped(issues)
+    capped = _warn_skipped(issues)
+    if capped and not records:
+        return EXIT_CAPACITY
     report = convergence_report(records, target)
     if args.out:
         emit(report, args.format, args.out)
@@ -164,9 +167,7 @@ def _cmd_sweep(args) -> int:
     if hard_failure:
         print("invariant violation in sweep report", file=sys.stderr)
         return EXIT_INVARIANT
-    if any(issue.kind == "capacity" for issue in issues):
-        return EXIT_CAPACITY
-    return EXIT_OK
+    return EXIT_CAPACITY if capped else EXIT_OK
 
 
 def _cmd_truncation(args) -> int:
@@ -174,7 +175,7 @@ def _cmd_truncation(args) -> int:
     primes = parse_primes(args.primes)
     issues: list[SweepIssue] = []
     records = truncation_table(ideal, primes, args.qmax, args.dmin, args.dmax, issues)
-    _warn_skipped(issues)
+    capped = _warn_skipped(issues)
     all_ok = all(r.ok for r in records)
     payload = {
         "records": [{
@@ -195,7 +196,7 @@ def _cmd_truncation(args) -> int:
     if not all_ok:
         print("invariant violation: a truncation gap exceeds n/d", file=sys.stderr)
         return EXIT_INVARIANT
-    return EXIT_OK
+    return EXIT_CAPACITY if capped else EXIT_OK
 
 
 def _cmd_corpus(args) -> int:

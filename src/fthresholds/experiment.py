@@ -41,7 +41,7 @@ class SweepIssue:
     """A prime that produced no record, with the reason (not fatal)."""
 
     p: int
-    kind: str  # "degenerate" | "capacity" | "domain" | "no-exponent"
+    kind: str  # "degenerate" | "capacity" | "no-exponent"
     message: str
 
 
@@ -79,23 +79,27 @@ def largest_exponent(p: int, q_max: int) -> int | None:
     return e
 
 
-def _usable_primes(ideal: IntegerIdeal, primes: list[int], q_max: int,
-                   skipped: list[SweepIssue]):
-    """(p, e, a_p) for each prime with an exponent and a nondegenerate
-    reduction, in the order given; the others go to `skipped`."""
+def _per_prime(ideal: IntegerIdeal, primes: list[int], q_max: int,
+               skipped: list[SweepIssue], work) -> list:
+    """work(p, e, a_p) for each prime in the order given, with e the largest
+    exponent with p^e <= q_max.  A prime with no such e, a degenerate
+    reduction, or whose work hits a capacity cap goes to `skipped` instead,
+    and the others go on; any other error ends the experiment."""
     if len(set(primes)) != len(primes):
         raise DomainError("primes must be distinct")
+    results = []
     for p in primes:
         e = largest_exponent(p, q_max)
         if e is None:
             skipped.append(SweepIssue(p, "no-exponent", f"{p} > q_max = {q_max}"))
             continue
         try:
-            reduced = reduce_mod_p(ideal, p)
+            results.append(work(p, e, reduce_mod_p(ideal, p)))
         except DegenerateReductionError as exc:
             skipped.append(SweepIssue(p, "degenerate", str(exc)))
-            continue
-        yield p, e, reduced
+        except CapacityError as exc:
+            skipped.append(SweepIssue(p, "capacity", str(exc)))
+    return results
 
 
 def sweep(ideal: IntegerIdeal, primes: list[int], q_max: int, *,
@@ -105,21 +109,15 @@ def sweep(ideal: IntegerIdeal, primes: list[int], q_max: int, *,
     Degenerate reductions and capacity failures are recorded in `issues`
     (when given) and skipped; they never abort the sweep.
     """
-    records: list[SweepRecord] = []
-    skipped: list[SweepIssue] = []
-    for p, e, reduced in _usable_primes(ideal, primes, q_max, skipped):
+    def record(p: int, e: int, reduced) -> SweepRecord:
         t0 = time.perf_counter()
-        try:
-            enc = fpt_enclosure(reduced, e)
-        except CapacityError as exc:
-            skipped.append(SweepIssue(p, "capacity", str(exc)))
-        except DomainError as exc:
-            skipped.append(SweepIssue(p, "domain", str(exc)))
-        else:
-            elapsed = int(round((time.perf_counter() - t0) * 1000))
-            records.append(SweepRecord(p=p, e=e, nu=enc.nu, low=enc.low, high=enc.high,
-                                       elapsed_ms=elapsed))
-    records.sort(key=lambda r: (r.p, r.e))
+        enc = fpt_enclosure(reduced, e)
+        elapsed = int(round((time.perf_counter() - t0) * 1000))
+        return SweepRecord(p=p, e=e, nu=enc.nu, low=enc.low, high=enc.high, elapsed_ms=elapsed)
+
+    skipped: list[SweepIssue] = []
+    records = sorted(_per_prime(ideal, primes, q_max, skipped, record),
+                     key=lambda r: (r.p, r.e))
     if issues is not None:
         issues.extend(sorted(skipped, key=lambda i: i.p))
     return records
@@ -133,20 +131,23 @@ def truncation_table(ideal: IntegerIdeal, primes: list[int], q_max: int,
     Adding m^d moves the threshold by at most n/d, so the gap between the
     enclosures of a_p and a_p + m^d (zero when they overlap) must stay within
     that bound; `ok` says whether it does.  Primes must be distinct; those
-    with p > q_max or a degenerate reduction are recorded in `issues` (when
-    given) and skipped, as in sweep.
+    with p > q_max, a degenerate reduction or a capacity failure are recorded
+    in `issues` (when given) and skipped with all their rows, as in sweep.
     """
-    records: list[TruncationRecord] = []
-    skipped = [] if issues is None else issues
-    for p, e, base_ideal in _usable_primes(ideal, primes, q_max, skipped):
+    def rows(p: int, e: int, base_ideal) -> list[TruncationRecord]:
         base = fpt_enclosure(base_ideal, e)
+        out = []
         for d in range(dmin, dmax + 1):
             trunc = fpt_enclosure(truncate_ideal(base_ideal, d), e)
             gap = max(trunc.low - base.high, base.low - trunc.high, Fraction(0))
             bound = Fraction(ideal.n, d)
-            records.append(TruncationRecord(p=p, e=e, d=d, base=base, trunc=trunc,
-                                            gap=gap, bound=bound, ok=gap <= bound))
-    return records
+            out.append(TruncationRecord(p=p, e=e, d=d, base=base, trunc=trunc,
+                                        gap=gap, bound=bound, ok=gap <= bound))
+        return out
+
+    skipped = [] if issues is None else issues
+    return [r for prime_rows in _per_prime(ideal, primes, q_max, skipped, rows)
+            for r in prime_rows]
 
 
 def convergence_report(records: list[SweepRecord],

@@ -233,17 +233,35 @@ def _times_power(gens: list[GFPoly], M: int, J: list[GFPoly]) -> list[GFPoly]:
     return J
 
 
+def _monomial_power_root(mono: MonomialIdeal, N: int, q: PrimePower) -> MonomialIdeal:
+    """(M^N)^[1/q] for a monomial ideal M, by the digit identity of the module
+    docstring over a table of M^t, t <= k(p-1), k the size of M's antichain.
+    The root of a monomial ideal floors its exponents, so each level is one
+    product of antichains and one floor, and M^N is never expanded."""
+    p, unit = q.p, MonomialIdeal([(0,) * mono.n], mono.n)
+    top, one_level = len(mono.gens) * (p - 1), prime_power(p, 1)
+    powers = [unit]
+    while len(powers) <= min(N, top):
+        powers.append(powers[-1] * mono)
+    J, M = unit, N
+    for _ in range(q.e):
+        t = _digit(M, top, p)
+        J = (powers[t] * J).floor_root(one_level)
+        M = (M - t) // p
+    return mono.pow(M) * J
+
+
 def _power_root(a: Ideal, N: int, q: PrimePower) -> Ideal:
     """(a^N)^[1/q]: exponent floors for a monomial ideal with several
-    generators, the digit root for every other ideal."""
+    generators (_monomial_power_root), the digit root for every other ideal."""
     if N == 0:
         return Ideal([GFPoly.one(a.n, a.p)], n=a.n, p=a.p)
     if a.is_zero:
         return Ideal([], n=a.n, p=a.p)
     gens = list(a.gens)
     if len(gens) > 1 and all(g.is_monomial() for g in gens):
-        mono = MonomialIdeal([g.lead_monomial() for g in gens], a.n)
-        return mono.pow(N).floor_root(q).to_ideal(a.p)
+        return _monomial_power_root(MonomialIdeal([g.lead_monomial() for g in gens], a.n),
+                                    N, q).to_ideal(a.p)
     J, M = _digit_root(_PowerTable(gens), N, q.e)
     return Ideal(_times_power(gens, M, J), n=a.n, p=a.p)
 
@@ -255,6 +273,13 @@ def frobenius_root_principal_power(f: GFPoly, N: int, q: PrimePower) -> Ideal:
     if f.p != q.p:
         raise DomainError(f"field characteristic {f.p} does not match q = {q}")
     return _power_root(Ideal([f], n=f.n, p=f.p), N, q)
+
+
+def _term_lct(gens: list[GFPoly]) -> Fraction:
+    """lct(T) for the term ideal T of `gens`, an upper bound for fpt (the
+    _nu_root docstring defines T and proves the bound)."""
+    points = [m for g in gens for m in g.terms]
+    return min(sum(w) for w in NewtonPolytope.from_points(points, gens[0].n).vertices)
 
 
 def _nu_root(gens: list[GFPoly], e: int) -> int:
@@ -300,12 +325,10 @@ def _nu_root(gens: list[GFPoly], e: int) -> int:
     The powers come from a _PowerTable that builds each a^t on its first read,
     modulo m^[p^e], as every probe truncates them to m^[p^l] with l <= e.
     """
-    p, n = gens[0].p, gens[0].n
-    k = len(gens)
+    p, k = gens[0].p, len(gens)
     powers = _PowerTable(gens, p**e)
     top = len(powers) - 1
-    points = [m for g in gens for m in g.terms]
-    lct = min(sum(w) for w in NewtonPolytope.from_points(points, n).vertices)
+    lct = _term_lct(gens)
     num, den = lct.numerator, lct.denominator
     value = 0
     for level in range(1, e + 1):
@@ -551,18 +574,24 @@ def proves_below_threshold(a: Ideal, lam: Fraction, e_max: int) -> bool:
 
 
 def fpt_point(a: Ideal, e: int, *, e_max: int = None) -> Fraction | None:
-    """Rational point value of the threshold, when the tau route confirms it.
+    """Rational point value of the threshold, when it is confirmed.
 
-    Takes the smallest-denominator rational in the level-e enclosure as the
-    candidate; confirms that the stabilized tau at the candidate vanishes at
-    the origin while the largest grid rational below it (denominators up to q)
-    is provably under the threshold.  Returns None when no confirmation is
-    reached.  The stabilized tau value and the below-proof are exact, but the
-    step to the grid rational assumes that the denominator of the threshold is
-    at most the limit, which nothing proves.
+    First the two proved bounds of _nu_root: nu/(q - 1) <= fpt <=
+    min((nu + k)/q, lct(T)), T the term ideal; when they meet, that is fpt.
+    Otherwise the tau route: takes the smallest-denominator rational in the
+    level-e enclosure as the candidate; confirms that the stabilized tau at
+    the candidate vanishes at the origin while the largest grid rational below
+    it (denominators up to q) is provably under the threshold.  Returns None
+    when no confirmation is reached.  The stabilized tau value and the
+    below-proof are exact, but the step to the grid rational assumes that the
+    denominator of the threshold is at most the limit, which nothing proves.
     """
     enc = fpt_enclosure(a, e)
     dlim = enc.q.q
+    if not a.is_zero:
+        low = Fraction(enc.nu, dlim - 1)
+        if low == min(enc.high, _term_lct(list(a.gens))):
+            return low
     cand = simplest_between(enc.low, enc.high)
     if cand.denominator > dlim or cand <= 0:
         return None

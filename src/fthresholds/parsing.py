@@ -10,9 +10,15 @@
 Whitespace is ignored.  A leading sign on the first term is accepted so that
 printed integer polynomials round-trip.  Coefficients are reduced mod p when
 parsing over a prime field.
+
+One compiled pattern scans the whole text into (kind, value, offset) tokens,
+and a short recursive descent reads them; a ParseError works out its line and
+column from the offset.  Generator lists are comma-separated.
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import ParseError, VariableCountError
 from .gfpoly import GFPoly, drl_key
@@ -20,149 +26,79 @@ from .gfpoly import GFPoly, drl_key
 TermDict = dict  # dict[tuple[int, ...], int], integer coefficients
 
 _ALIASES = {"x": 1, "y": 2, "z": 3}
+_TOKEN = re.compile(r"\s+|(\d+)|x(\d+)|([xyz])|([-+*^])|(.)")
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind  # "int" | "var" | "op" | "end"
-        self.value = value
-        self.line = line
-        self.col = col
+def _error(cls, message: str, text: str, offset: int) -> ParseError:
+    line = text.count("\n", 0, offset) + 1
+    return cls(message, line, offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _scan(text: str) -> list[tuple]:
+    """Tokens (kind, value, offset), ending with "end"; a var's value is its index."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", int(text[i:j]), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            if ch == "x" and i + 1 < len(text) and text[i + 1].isdigit():
-                j = i + 1
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                idx = int(text[i + 1 : j])
-                if idx < 1:
-                    raise ParseError(f"variable index must be >= 1, got x{idx}", line, start_col)
-                tokens.append(_Token("var", idx, line, start_col))
-                col += j - i
-                i = j
-                continue
-            if ch in _ALIASES:
-                tokens.append(_Token("var", _ALIASES[ch], line, start_col))
-                col += 1
-                i += 1
-                continue
-            raise ParseError(f"unknown variable {ch!r}", line, start_col)
-        if ch in "+-*^":
-            tokens.append(_Token("op", ch, line, start_col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token("end", None, line, col))
+    for match in _TOKEN.finditer(text):
+        number, index, alias, op, other = match.groups()
+        at = match.start()
+        if other:
+            what = "unknown variable" if other.isalpha() else "unexpected character"
+            raise _error(ParseError, f"{what} {other!r}", text, at)
+        if index and int(index) < 1:
+            raise _error(ParseError, f"variable index must be >= 1, got x{int(index)}", text, at)
+        if number:
+            tokens.append(("int", int(number), at))
+        elif index or alias:
+            tokens.append(("var", int(index) if index else _ALIASES[alias], at))
+        elif op:
+            tokens.append(("op", op, at))
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], n: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.n = n
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
-
-    def parse_poly(self) -> TermDict:
-        terms: TermDict = {}
-        sign = 1
-        tok = self.peek()
-        if tok.kind == "op" and tok.value in "+-":
-            sign = -1 if tok.value == "-" else 1
-            self.next()
-        self.parse_term(terms, sign)
-        while True:
-            tok = self.peek()
-            if tok.kind == "end":
-                break
-            if tok.kind == "op" and tok.value in "+-":
-                self.next()
-                self.parse_term(terms, -1 if tok.value == "-" else 1)
-            else:
-                self.fail(f"expected '+' or '-', got {tok.value!r}")
-        return {m: c for m, c in terms.items() if c != 0}
-
-    def parse_term(self, terms: TermDict, sign: int):
-        tok = self.peek()
-        coeff = 1
-        exps = [0] * self.n
-        if tok.kind == "int":
-            coeff = tok.value
-            self.next()
-            while self.peek().kind == "op" and self.peek().value == "*":
-                self.next()
-                self.parse_factor(exps)
-        elif tok.kind == "var":
-            self.parse_factor(exps)
-            while self.peek().kind == "op" and self.peek().value == "*":
-                self.next()
-                self.parse_factor(exps)
-        else:
-            self.fail(f"expected a term, got {tok.value!r}")
-        mono = tuple(exps)
-        terms[mono] = terms.get(mono, 0) + sign * coeff
-
-    def parse_factor(self, exps: list[int]):
-        tok = self.next()
-        if tok.kind != "var":
-            raise ParseError(f"expected a variable, got {tok.value!r}", tok.line, tok.col)
-        idx = tok.value
-        if idx > self.n:
-            raise VariableCountError(
-                f"variable x{idx} exceeds variable count n={self.n}", tok.line, tok.col
-            )
-        power = 1
-        if self.peek().kind == "op" and self.peek().value == "^":
-            self.next()
-            ptok = self.next()
-            if ptok.kind != "int":
-                raise ParseError("expected an integer exponent after '^'", ptok.line, ptok.col)
-            power = ptok.value
-        exps[idx - 1] += power
+def _factor(tokens: list[tuple], i: int, exps: list[int], text: str) -> int:
+    """Read the factor at tokens[i] into exps; return the index after it."""
+    kind, idx, at = tokens[i]
+    if kind != "var":
+        raise _error(ParseError, f"expected a variable, got {idx!r}", text, at)
+    if idx > len(exps):
+        raise _error(VariableCountError,
+                     f"variable x{idx} exceeds variable count n={len(exps)}", text, at)
+    power = 1
+    if tokens[i + 1][:2] == ("op", "^"):
+        i += 2
+        kind, power, at = tokens[i]
+        if kind != "int":
+            raise _error(ParseError, "expected an integer exponent after '^'", text, at)
+    exps[idx - 1] += power
+    return i + 1
 
 
 def parse_int_poly(text: str, n: int) -> TermDict:
     """Parse to an integer-coefficient term dict (zero terms dropped)."""
-    return _Parser(_tokenize(text), n).parse_poly()
+    tokens = _scan(text)
+    terms: TermDict = {}
+    sign, i = 1, 0
+    if tokens[0][0] == "op" and tokens[0][1] in "+-":
+        sign, i = (-1 if tokens[0][1] == "-" else 1), 1
+    while True:
+        kind, value, at = tokens[i]
+        coeff, exps = 1, [0] * n
+        if kind == "int":
+            coeff, i = value, i + 1
+        elif kind == "var":
+            i = _factor(tokens, i, exps, text)
+        else:
+            raise _error(ParseError, f"expected a term, got {value!r}", text, at)
+        while tokens[i][:2] == ("op", "*"):
+            i = _factor(tokens, i + 1, exps, text)
+        mono = tuple(exps)
+        terms[mono] = terms.get(mono, 0) + sign * coeff
+        kind, value, at = tokens[i]
+        if kind == "end":
+            return {m: c for m, c in terms.items() if c != 0}
+        if kind != "op" or value not in "+-":
+            raise _error(ParseError, f"expected '+' or '-', got {value!r}", text, at)
+        sign, i = (-1 if value == "-" else 1), i + 1
 
 
 def parse_gfpoly(text: str, n: int, p: int) -> GFPoly:
@@ -170,12 +106,17 @@ def parse_gfpoly(text: str, n: int, p: int) -> GFPoly:
     return GFPoly.make(n, p, parse_int_poly(text, n).items())
 
 
+def split_generators(text: str) -> list[str]:
+    """The comma-separated generators of `text`, stripped, blanks dropped."""
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
 def parse_ideal(gens: list[str] | str, n: int, p: int):
     """Parse a comma-separated string or a list of generator strings."""
     from .groebner import Ideal
 
     if isinstance(gens, str):
-        gens = [s for s in gens.split(",") if s.strip()]
+        gens = split_generators(gens)
     return Ideal([parse_gfpoly(s, n, p) for s in gens], n=n, p=p)
 
 

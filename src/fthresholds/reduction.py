@@ -19,7 +19,7 @@ from .errors import DegenerateReductionError, DomainError
 from .exact import parse_rational
 from .gfpoly import GFPoly, Monomial
 from .groebner import Ideal
-from .parsing import format_terms, parse_int_poly
+from .parsing import format_terms, parse_int_poly, split_generators
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class IntegerIdeal:
     @classmethod
     def from_strings(cls, texts: list[str] | str, n: int) -> "IntegerIdeal":
         if isinstance(texts, str):
-            texts = [s for s in texts.split(",") if s.strip()]
+            texts = split_generators(texts)
         gens = tuple(parse_int_poly(s, n) for s in texts)
         return cls(gens, n)
 

@@ -205,3 +205,37 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "5/6"
+
+
+def test_tau_of_a_monomial_ideal_at_a_large_power(capsys):
+    # The chain reads (M^4802)^[1/7^3]; M^N is never expanded.
+    code, out = run(capsys, "tau", "--gens", "x^2,y^3,x*y", "-n", "2", "-p", "7",
+                    "--lambda", "18/11", "--emax", "3")
+    assert code == EXIT_OK
+    assert out == ('{"ideal": ["x^2", "x*y", "y^2"], "lambda": "18/11", "e_used": 3, '
+                   '"stabilized": true}\n')
+
+
+def test_fpt_certify_where_the_bounds_meet(capsys):
+    for gens in ("x^2+y^3", "x^2,y^3"):
+        code, out = run(capsys, "fpt", "--gens", gens, "-n", "2", "-p", "7", "-e", "3",
+                        "--certify")
+        assert code == EXIT_OK
+        assert out.splitlines()[1] == "fpt = 5/6 (confirmed)"
+
+
+def test_capacity_cap_exits_2_in_both_experiments(monkeypatch, capsys):
+    # nu of (9x+5y, 6xy) and of its sum with m^3 takes at most 124 nodes at 5^3,
+    # and more than 2000 at 11^2.
+    monkeypatch.setattr(frobenius, "NODE_CAP", 1000)
+    flags = ["--gens", "9*x+5*y, 6*x*y", "-n", "2", "--qmax", "200"]
+    code = dispatch(["sweep", *flags, "--primes", "11"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CAPACITY and captured.out == ""
+    assert captured.err.startswith("warning: p=11 skipped (capacity)")
+    assert "error" not in captured.err
+    code = dispatch(["truncation", *flags, "--primes", "5,11", "--dmin", "3", "--dmax", "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CAPACITY
+    assert [(r["p"], r["d"]) for r in json.loads(captured.out)["records"]] == [(5, 3)]
+    assert captured.err.startswith("warning: p=11 skipped (capacity)")

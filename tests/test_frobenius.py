@@ -653,6 +653,48 @@ def test_fpt_point_certification():
     assert fpt_point(cusp(2), 4, e_max=6) == Fraction(1, 2)
 
 
+def test_fpt_point_where_the_bounds_meet(monkeypatch):
+    """nu/(q - 1) <= fpt <= min((nu + k)/q, lct(T)): where the two meet, fpt_point
+    returns the value without a tau chain."""
+    def no_tau(*args):
+        raise AssertionError("test_ideal called")
+
+    monkeypatch.setattr(frobenius, "test_ideal", no_tau)
+    # The cusp at p = 1 (mod 6): nu(e) = (p^e - 1) 5/6 meets lct(x^2, y^3).
+    for p, e in ((7, 1), (7, 3), (13, 2), (19, 1), (31, 2), (37, 1), (43, 1)):
+        assert fpt_point(cusp(p), e) == Fraction(5, 6), p
+    assert fpt_point(ideal(["x^2", "y^3"], p=7), 3) == Fraction(5, 6)
+    assert fpt_point(ideal(["x^3 + y^3 + z^3"], n=3, p=7), 3) == 1
+    # At p = 5 (mod 6), fpt = 5/6 - 1/(6p): the bounds stay apart and the tau
+    # route is asked.
+    for p in (5, 11):
+        with pytest.raises(AssertionError, match="test_ideal called"):
+            fpt_point(cusp(p), 2)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_fpt_lower_bounds_below_upper_bounds(seed):
+    """Every proved lower bound nu(l)/(p^l - 1) is at most every proved upper
+    bound, (nu(l) + k)/p^l and lct(T), over the levels l <= e of a random ideal
+    (n <= 3, k <= 3, p <= 7, e <= 4)."""
+    rng = random.Random(seed)
+    n, k, p = rng.randint(1, 3), rng.randint(1, 3), rng.choice([2, 3, 5, 7])
+    gens = [g for g in (rand_gfpoly(rng, n, p, max_deg=3, max_terms=3, vanish=True)
+                        for _ in range(k)) if not g.is_zero]
+    if not gens:
+        return
+    a = Ideal(gens, n=n, p=p)
+    lows, highs = [], [frobenius._term_lct(gens)]
+    for level in range(1, 5):
+        if p**level > (2401 if n * len(gens) <= 3 else 343 if n * len(gens) <= 4 else 125):
+            break
+        v = nu(a, level).nu
+        lows.append(Fraction(v, p**level - 1))
+        highs.append(Fraction(v + len(gens), p**level))
+    assert max(lows) <= min(highs), (a, lows, highs)
+
+
 def test_proves_below_threshold():
     a = cusp(7)
     assert proves_below_threshold(a, Fraction(1, 2), 2)
@@ -700,3 +742,17 @@ def test_tau_monomial_route():
     a = ideal(["x^2", "y^3"], p=7)
     res = tau_chain(a, Fraction(5, 6), 3)
     assert ideal_equal(res.ideal, ideal(["x", "y"], p=7))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_monomial_power_root_matches_expansion(seed):
+    """(M^N)^[1/q] by the digit identity equals the floor root of M^N expanded."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    mono = MonomialIdeal([tuple(rng.randint(0, 4) for _ in range(n))
+                          for _ in range(rng.randint(2, 4))], n)
+    p = rng.choice([2, 3, 5, 7])
+    q = prime_power(p, rng.choice([e for e in (1, 2, 3) if p**e <= 49]))
+    N = rng.randint(0, min(2 * q.q, 24))
+    assert frobenius._monomial_power_root(mono, N, q) == mono.pow(N).floor_root(q)

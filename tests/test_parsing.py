@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fthresholds.errors import ParseError, VariableCountError
 from fthresholds.gfpoly import GFPoly
-from fthresholds.parsing import format_terms, parse_gfpoly, parse_int_poly
+from fthresholds.parsing import format_terms, parse_gfpoly, parse_int_poly, split_generators
 
 from conftest import rand_gfpoly
 
@@ -42,6 +42,38 @@ def test_syntax_error_position():
         parse_gfpoly("x^", 2, 5)
     with pytest.raises(ParseError):
         parse_gfpoly("w + 1", 2, 5)
+
+
+@pytest.mark.parametrize("text, n, cls, message", [
+    ("x0 + y", 2, ParseError, "variable index must be >= 1, got x0 (line 1, column 1)"),
+    ("x + w", 2, ParseError, "unknown variable 'w' (line 1, column 5)"),
+    ("x + #", 2, ParseError, "unexpected character '#' (line 1, column 5)"),
+    ("x*3", 2, ParseError, "expected a variable, got 3 (line 1, column 3)"),
+    ("x3", 2, VariableCountError, "variable x3 exceeds variable count n=2 (line 1, column 1)"),
+    ("x^y", 2, ParseError, "expected an integer exponent after '^' (line 1, column 3)"),
+    ("x^", 2, ParseError, "expected an integer exponent after '^' (line 1, column 3)"),
+    ("", 2, ParseError, "expected a term, got None (line 1, column 1)"),
+    ("x + * y", 2, ParseError, "expected a term, got '*' (line 1, column 5)"),
+    ("3y", 2, ParseError, "expected '+' or '-', got 2 (line 1, column 2)"),
+    ("x^2 y", 2, ParseError, "expected '+' or '-', got 2 (line 1, column 5)"),
+    ("x^2 +\n  y^3 * w", 2, ParseError, "unknown variable 'w' (line 2, column 9)"),
+    ("x +\n\n *", 2, ParseError, "expected a term, got '*' (line 3, column 2)"),
+    ("x + x1\n+ 2*x4", 3, VariableCountError,
+     "variable x4 exceeds variable count n=3 (line 2, column 5)"),
+    # A digit that is not decimal is an unexpected character, not an exponent.
+    ("y^2 + x\u00b2", 2, ParseError, "unexpected character '\u00b2' (line 1, column 8)"),
+])
+def test_error_messages(text, n, cls, message):
+    with pytest.raises(ParseError) as exc:
+        parse_int_poly(text, n)
+    assert type(exc.value) is cls
+    assert str(exc.value) == message
+    assert message.endswith(f"(line {exc.value.line}, column {exc.value.col})")
+
+
+def test_split_generators():
+    assert split_generators(" x^2 + y^3 ,, y ,\n") == ["x^2 + y^3", "y"]
+    assert split_generators(" , ") == []
 
 
 def test_zero_and_constants():
