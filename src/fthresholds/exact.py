@@ -40,12 +40,19 @@ def is_prime(p: int) -> bool:
 
 
 def parse_primes(text: str) -> list[int]:
-    """Either "a..b" (all primes in the range) or a comma list "5,7,11"."""
+    """Either "a..b" (all primes in the range) or a comma list "5,7,11".
+
+    A range must end below PRIME_LIMIT and hold at least one prime."""
     text = text.strip()
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
-        return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
+        if hi >= PRIME_LIMIT:
+            raise DomainError(f"prime range end {hi} out of range (must be < 2^31)")
+        primes = [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
+        if not primes:
+            raise DomainError(f"no primes in {lo}..{hi}")
+        return primes
     primes = [int(s) for s in text.split(",") if s.strip()]
     for p in primes:
         if not is_prime(p):

@@ -16,8 +16,10 @@ S_n, the total degree.  So:
     integer add, a shift one subtract and a q-th power one multiply;
   * the exponents are the differences of adjacent fields:
     key - ((key << w) & fields) holds e_i in field i.  On that form the box
-    test "every e_i < q" and divisibility are guard-bit tests (Monagan-Pearce);
-    lcm and the root split e_i = q b_i + g_i unpack the fields one by one.
+    test "every e_i < q", divisibility and the field-wise max of an lcm are
+    guard-bit tests (Monagan-Pearce), and a multiply by sum_i 2^(iw) turns the
+    exponents back into prefix sums; the root split e_i = q b_i + g_i unpacks
+    the fields one by one.
 
 Field width: every stored exponent is below EXPONENT_LIMIT = 2^32, so a sum of
 two stored monomials has S_i < 2n * 2^32.  Each field is w = 33 + bitlen(n)
@@ -37,6 +39,7 @@ keyed by them, and `lead_monomial`, `sorted_terms` and `str` return them.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Mapping
 from typing import Callable, Iterable, Iterator
 
@@ -123,7 +126,30 @@ def _check_range(terms: dict, n: int, w: int) -> None:
 
 
 def _lcm(a: int, b: int, n: int, w: int) -> int:
-    return _pack(map(max, _unpack(a, n, w), _unpack(b, n, w)), w)
+    """lcm of two stored monomials, packed.
+
+    In field i, (ea | guards) - eb is e_i(a) - e_i(b) + 2^(w-1), whose guard
+    bit is set iff e_i(a) >= e_i(b); that bit, less itself shifted down to the
+    bottom of the field, masks the field in which a holds the max.  The max
+    exponents times sum_i 2^(iw) are their prefix sums, which stay below
+    n * 2^32 < 2^(w-1), so no field carries; the mask drops the fields above n.
+    """
+    fields, guards = _guards(n, w)
+    ea = a - ((a << w) & fields)
+    eb = b - ((b << w) & fields)
+    ge = ((ea | guards) - eb) & guards
+    top = eb ^ ((ea ^ eb) & (ge - (ge >> (w - 1))))
+    return (top * (guards >> (w - 1))) & fields
+
+
+def _divides(a: int, b: int, n: int, w: int) -> bool:
+    """True iff the stored monomial a divides the stored monomial b: field i
+    of (eb | guards) - ea is e_i(b) - e_i(a) + 2^(w-1), with its guard bit set
+    iff e_i(a) <= e_i(b)."""
+    fields, guards = _guards(n, w)
+    ea = a - ((a << w) & fields)
+    eb = b - ((b << w) & fields)
+    return ((eb | guards) - ea) & guards == guards
 
 
 def _drop_zeros(terms: dict) -> dict:
@@ -490,17 +516,39 @@ class GFPoly:
         return f"GFPoly({self}, n={self.n}, p={self.p})"
 
 
-def lead_lcm(f: GFPoly, g: GFPoly) -> int:
-    """Degrevlex sort key of lcm(LM(f), LM(g)); comparable only within one ring."""
-    n = f.n
-    return _lcm(max(f._terms), max(g._terms), n, _width(n))
+def update_pairs(pairs: list, leads: list[int], h: GFPoly) -> None:
+    """The Gebauer-Moller update of an S-pair heap for h joining a basis.
 
-
-def leads_coprime(f: GFPoly, g: GFPoly) -> bool:
-    """True iff the lead monomials of f and g share no variable."""
-    a, b = max(f._terms), max(g._terms)
-    n = f.n
-    return _lcm(a, b, n, _width(n)) == a + b
+    `leads` holds the packed lead monomials of the basis, and `pairs` is a heap
+    of (lcm, i, j), i < j, lcm the packed lcm of leads i and j; packed keys
+    compare as degrevlex.  Old pairs that the B-criterion drops leave the heap,
+    the new pairs (t, j), j = len(leads), that the chain and product criteria
+    keep join it, and h's lead is appended to `leads`.  The criteria and why
+    they are safe: `groebner.groebner_basis`.
+    """
+    n = h.n
+    w = _width(n)
+    lead = max(h._terms)
+    lcms = [_lcm(g, lead, n, w) for g in leads]
+    coprime = [m == g + lead for m, g in zip(lcms, leads)]
+    # B-criterion: drop (g1, g2) when LM(h) divides their lcm and lcm(g1, h),
+    # lcm(g2, h) both differ from it.
+    pairs[:] = [pair for pair in pairs
+                if not (_divides(lead, pair[0], n, w)
+                        and lcms[pair[1]] != pair[0] != lcms[pair[2]])]
+    # Chain criterion: drop a new pair whose lcm some other new pair's lcm
+    # divides, among the new pairs not yet dropped.  A divisor is never larger
+    # in a monomial order, hence the cheap test first.  Coprime pairs are
+    # witnesses here and are dropped after (product criterion).
+    alive = set(range(len(leads)))
+    for t, m in enumerate(lcms):
+        if not coprime[t] and any(s != t and lcms[s] <= m and _divides(lcms[s], m, n, w)
+                                  for s in alive):
+            alive.discard(t)
+    j = len(leads)
+    pairs.extend((lcms[t], t, j) for t in alive if not coprime[t])
+    heapq.heapify(pairs)
+    leads.append(lead)
 
 
 def s_polynomial(f: GFPoly, g: GFPoly) -> GFPoly:

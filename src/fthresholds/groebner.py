@@ -1,9 +1,12 @@
-"""Minimal Buchberger engine over F_p[x_1..x_n], plus monomial-ideal fast paths.
+"""Buchberger's algorithm over F_p[x_1..x_n], plus monomial-ideal fast paths.
 
-The monomial order is degrevlex everywhere.  Reduced Groebner bases are unique,
-so ideal equality is a term-for-term comparison of bases.  Monomial ideals
-bypass Buchberger entirely: membership is divisibility and every operation
-keeps the generator antichain minimal.
+The monomial order is degrevlex everywhere.  `groebner_basis` prunes its
+S-pairs with the Gebauer-Moller criteria (chain, product and B-criterion; see
+its docstring), so most pairs whose S-polynomial would reduce to zero are never
+reduced, and PAIR_CAP counts only the pairs that are.  Reduced Groebner bases
+are unique, so ideal equality is a term-for-term comparison of bases.  Monomial
+ideals bypass Buchberger entirely: membership is divisibility and every
+operation keeps the generator antichain minimal.
 """
 
 from __future__ import annotations
@@ -17,11 +20,10 @@ from .gfpoly import (
     GFPoly,
     Monomial,
     drl_key,
-    lead_lcm,
-    leads_coprime,
     monomial_divides,
     monomial_mul,
     s_polynomial,
+    update_pairs,
 )
 
 PAIR_CAP = 100_000
@@ -38,33 +40,49 @@ def normal_form(f: GFPoly, basis: Sequence[GFPoly]) -> GFPoly:
 def groebner_basis(gens: Iterable[GFPoly]) -> tuple[GFPoly, ...]:
     """The unique reduced Groebner basis of the ideal generated by `gens`.
 
-    Raises CapacityError after PAIR_CAP S-pairs."""
-    basis = [g.monic() for g in gens if not g.is_zero]
-    if not basis:
-        return ()
-    # Pairs are processed by degrevlex of the lcm of their lead monomials, then
-    # by index: deterministic.
-    heap: list = []
-    for i in range(len(basis)):
-        for j in range(i):
-            heapq.heappush(heap, (lead_lcm(basis[i], basis[j]), j, i))
+    Buchberger's algorithm with the Gebauer-Moller pair criteria: the
+    generators, then each nonzero remainder h, join the basis one at a time,
+    and each time the pair set is updated in three steps (`UPDATE` of
+    Becker-Weispfenning, Groebner Bases, 1993, section 5.5; Gebauer-Moller,
+    J. Symbolic Comput. 6, 1988):
+      * chain criterion: a new pair (g, h) is dropped when the lcm of another
+        new pair (g', h), not itself dropped, divides lcm(g, h);
+      * product criterion: then the new pairs whose leads are coprime go;
+      * B-criterion: an old pair (g1, g2) is dropped when LM(h) divides
+        lcm(g1, g2) and neither lcm(g1, h) nor lcm(g2, h) equals it.
+    Every element stays in the list that remainders are taken by; only the
+    pair set is pruned.
+
+    Why the dropped pairs are safe: the basis is a Groebner basis once every
+    S-polynomial has a standard representation.  One always exists for
+    coprime leads (Buchberger's first criterion), and one exists for (g1, g2)
+    as soon as it does for (g1, g) and (g, g2), with LM(g) dividing
+    lcm(g1, g2) (his second criterion).  The chain criterion drops (g, h) by
+    that rule with g' in the middle, and the B-criterion drops (g1, g2) with h
+    in the middle.  What keeps the rule from going in a circle, among pairs
+    with equal lcms, is that a pair dropped by the chain criterion is never a
+    witness and that the B-criterion asks both lcms to differ.
+
+    Pairs are reduced by degrevlex of their lcm, then by index: deterministic.
+    Raises CapacityError after PAIR_CAP S-pairs reduced; dropped pairs are not
+    counted."""
+    basis: list[GFPoly] = []
+    leads: list = []
+    pairs: list = []
+    for g in gens:
+        if not g.is_zero:
+            update_pairs(pairs, leads, g)
+            basis.append(g.monic())
     processed = 0
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        f, g = basis[i], basis[j]
-        if leads_coprime(f, g):
-            continue  # product criterion
+    while pairs:
+        _, i, j = heapq.heappop(pairs)
         processed += 1
         if processed > PAIR_CAP:
             raise CapacityError(f"S-pair cap of {PAIR_CAP} exceeded")
-        r = normal_form(s_polynomial(f, g), basis)
-        if r.is_zero:
-            continue
-        r = r.monic()
-        k = len(basis)
-        for t in range(k):
-            heapq.heappush(heap, (lead_lcm(basis[t], r), t, k))
-        basis.append(r)
+        r = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        if not r.is_zero:
+            update_pairs(pairs, leads, r)
+            basis.append(r.monic())
     return _reduce_basis(basis)
 
 

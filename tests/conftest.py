@@ -4,10 +4,12 @@ The oracles here deliberately avoid the code paths they check: truncation is
 applied only once at the end (nu_dp truncates each product, which drops only
 terms that no later factor can bring back), ideal powers are expanded as
 explicit products, binomial survival is decided digit by digit with
-Lucas' theorem, and Newton-polytope orders are solved as one exact LP each
-(order_lp) instead of read off the facet normals.
+Lucas' theorem, Groebner bases come from Buchberger's loop over every pair
+(buchberger_all_pairs), and Newton-polytope orders are solved as one exact LP
+each (order_lp) instead of read off the facet normals.
 """
 
+import heapq
 import itertools
 import os
 import random
@@ -17,7 +19,8 @@ from pathlib import Path
 from typing import Sequence
 
 from fthresholds.errors import DomainError
-from fthresholds.gfpoly import GFPoly, echelonize
+from fthresholds.gfpoly import GFPoly, echelonize, s_polynomial
+from fthresholds.groebner import _reduce_basis, normal_form
 from fthresholds.newton import NewtonPolytope
 
 # pytest puts src/ on sys.path (pyproject.toml); tests that start
@@ -139,6 +142,33 @@ def cusp_nu_oracle(p: int, e: int) -> int:
         if any(_binomial_nonzero_mod_p(r, k, p) for k in range(k_lo, k_hi + 1)):
             return r
     return 0
+
+
+def buchberger_all_pairs(gens: list[GFPoly]) -> tuple[GFPoly, ...]:
+    """The reduced Groebner basis by Buchberger's loop over every pair, skipping
+    only pairs whose leads are coprime: the reference for the pair criteria of
+    `groebner.groebner_basis`.  Pairs are taken by degrevlex of the lcm."""
+    basis = [g.monic() for g in gens if not g.is_zero]
+
+    def lcm(f, g):
+        return tuple(map(max, f.lead_monomial(), g.lead_monomial()))
+
+    heap = [(drl(lcm(basis[i], basis[j])), j, i)
+            for i in range(len(basis)) for j in range(i)]
+    heapq.heapify(heap)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        f, g = basis[i], basis[j]
+        if not any(a and b for a, b in zip(f.lead_monomial(), g.lead_monomial())):
+            continue
+        r = normal_form(s_polynomial(f, g), basis)
+        if r.is_zero:
+            continue
+        r = r.monic()
+        for t in range(len(basis)):
+            heapq.heappush(heap, (drl(lcm(basis[t], r)), t, len(basis)))
+        basis.append(r)
+    return _reduce_basis(basis)
 
 
 # -- tuple-dict reference for the packed GFPoly kernels ------------------------

@@ -134,6 +134,15 @@ def test_sweep_rejects_non_prime(capsys):
     assert "9 is not prime" in captured.err and captured.out == ""
 
 
+def test_sweep_rejects_prime_ranges_without_primes(capsys):
+    for primes, message in (("5..3000000000", "out of range"), ("5..1", "no primes in 5..1")):
+        code = dispatch(["sweep", "--gens", "x^2+y^3", "-n", "2", "--primes", primes,
+                         "--qmax", "100"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert message in captured.err and captured.out == ""
+
+
 def test_truncation_table_rejects_non_prime(capsys):
     code = dispatch(["truncation", "--gens", "x^2+y^3", "-n", "2", "--primes", "5,9",
                      "--qmax", "10000"])

@@ -1,5 +1,6 @@
 """Rational and prime-power primitives."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from fthresholds.exact import (
     farey_below,
     format_rational,
     is_prime,
+    parse_primes,
     parse_rational,
     prime_power,
     simplest_between,
@@ -113,3 +115,22 @@ def test_farey_below():
     assert farey_below(Fraction(5, 6), 49) == Fraction(39, 47)
     assert farey_below(Fraction(1, 2), 3) == Fraction(1, 3)
     assert farey_below(Fraction(5, 6), 49) < Fraction(5, 6)
+
+
+def test_parse_primes():
+    assert parse_primes("5..20") == [5, 7, 11, 13, 17, 19]
+    assert parse_primes(" 0..3 ") == [2, 3]
+    assert parse_primes("5,7,11") == [5, 7, 11]
+    assert parse_primes(f"{2**31 - 8}..{2**31 - 1}") == [2**31 - 1]
+    with pytest.raises(DomainError, match="9 is not prime"):
+        parse_primes("5,9")
+    for text, message in (("5..1", r"no primes in 5\.\.1"), ("24..28", r"no primes in 24\.\.28")):
+        with pytest.raises(DomainError, match=message):
+            parse_primes(text)
+    # An end past the primality test's range is refused before any candidate
+    # is tested, so the answer is immediate.
+    start = time.perf_counter()
+    for text in ("5..3000000000", f"2..{2**31}"):
+        with pytest.raises(DomainError, match="out of range"):
+            parse_primes(text)
+    assert time.perf_counter() - start < 0.5

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fthresholds.errors import DomainError
 from fthresholds.exact import prime_power
 from fthresholds.frobenius import _root_step, frobenius_root
-from fthresholds.gfpoly import GFPoly, drl_key
+from fthresholds.gfpoly import GFPoly, _divides, _lcm, _pack, _unpack, _width, drl_key
 from fthresholds.groebner import Ideal, normal_form
 from fthresholds.parsing import parse_gfpoly
 
@@ -232,3 +232,22 @@ def test_normal_form_matches_tuple_reference(seed):
     basis = [rand_poly(rng, n, p, wide=False) for _ in range(rng.randint(1, 3))]
     assert (outcome(lambda: as_dict(normal_form(f, basis)))
             == outcome(lambda: ref_normal_form(as_dict(f), [as_dict(g) for g in basis], p)))
+
+
+# Small exponents make divisibility and equal fields common; the rest reach
+# the 2^32 - 1 limit of a stored exponent.
+EXPONENTS = st.one_of(st.integers(0, 3), st.sampled_from(WIDE_EXPONENTS),
+                      st.integers(0, 2**32 - 1))
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(*[st.lists(EXPONENTS, min_size=n, max_size=n)] * 2)))
+@settings(max_examples=300, deadline=None)
+def test_packed_lcm_and_divides_match_tuples(pair):
+    a, b = pair
+    n = len(a)
+    w = _width(n)
+    ka, kb = _pack(a, w), _pack(b, w)
+    assert _unpack(_lcm(ka, kb, n, w), n, w) == tuple(map(max, a, b))
+    assert _divides(ka, kb, n, w) == all(x <= y for x, y in zip(a, b))
+    assert _divides(ka, _lcm(ka, kb, n, w), n, w)

@@ -1,5 +1,6 @@
 """Division, Buchberger, ideal decision procedures, and monomial fast paths."""
 
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from fthresholds.groebner import (
 )
 from fthresholds.parsing import parse_gfpoly
 
-from conftest import rand_gfpoly
+from conftest import buchberger_all_pairs, rand_gfpoly
 
 
 def gf(text, n=2, p=5):
@@ -81,6 +82,39 @@ def test_pair_capacity_error(monkeypatch):
     I = Ideal([gf("x^2 + y"), gf("x*y + x")], n=2, p=5)
     with pytest.raises(CapacityError):
         I.groebner_basis()
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_pair_criteria_match_all_pairs(seed):
+    rng = random.Random(seed)
+    n, p = rng.randint(1, 4), rng.choice([2, 3, 7, 32003])
+    monos = [m for m in itertools.product(range(5), repeat=n) if sum(m) <= 4]
+    gens = [GFPoly.make(n, p, [(rng.choice(monos), rng.randint(1, p - 1))
+                               for _ in range(rng.randint(1, 4))])
+            for _ in range(rng.randint(1, 5))]
+    assert groebner.groebner_basis(gens) == buchberger_all_pairs(gens)
+
+
+def test_pair_counts(monkeypatch):
+    calls = []
+    s_polynomial = groebner.s_polynomial
+
+    def counted(f, g):
+        calls.append((f, g))
+        return s_polynomial(f, g)
+
+    monkeypatch.setattr(groebner, "s_polynomial", counted)
+    cyclic4 = ideal(["x1+x2+x3+x4", "x1*x2+x2*x3+x3*x4+x4*x1",
+                     "x1*x2*x3+x2*x3*x4+x3*x4*x1+x4*x1*x2", "x1*x2*x3*x4-1"], n=4, p=32003)
+    quartics = ideal(["x^4+3*x^2*y*z+y^3*z+5*z^4", "y^4+2*x*y^2*z+7*x^3*z+x*z^3",
+                      "z^4+x*y^3+4*x^2*z^2+y^2*z^2"], n=3, p=101)
+    # The all-pairs loop reduces 35 and 81 S-pairs.
+    for I, pairs in ((cyclic4, 11), (quartics, 24)):
+        calls.clear()
+        gb = I.groebner_basis()
+        assert len(calls) == pairs
+        assert gb == buchberger_all_pairs(list(I.gens))
 
 
 @given(st.integers(0, 10**6))
