@@ -33,7 +33,7 @@ from .reduction import (
     reduce_mod_p,
     truncate_ideal,
 )
-from .experiment import ConvergenceReport, SweepRecord, convergence_report, emit, sweep
+from .experiment import ConvergenceReport, SweepRecord, convergence_report, sweep
 
 __version__ = "0.1.0"
 
@@ -47,5 +47,5 @@ __all__ = [
     "INFINITY", "NewtonPolytope", "jumping_candidates", "lct_monomial",
     "multiplier_ideal_monomial", "newton_order",
     "CorpusEntry", "IntegerIdeal", "corpus", "reduce_mod_p", "truncate_ideal",
-    "ConvergenceReport", "SweepRecord", "convergence_report", "emit", "sweep",
+    "ConvergenceReport", "SweepRecord", "convergence_report", "sweep",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from pathlib import Path
 
 from .errors import CapacityError, DomainError, InvariantViolation, ParseError
 from .exact import format_rational, parse_primes, parse_rational, prime_power
@@ -30,14 +30,13 @@ from .frobenius import (
     nu,
     test_ideal,
 )
-from .groebner import Ideal, MonomialIdeal
+from .groebner import MonomialIdeal
 from .newton import INFINITY, jumping_candidates, lct_monomial, multiplier_ideal_monomial
 from .parsing import parse_ideal, parse_int_poly, split_generators
 from .reduction import IntegerIdeal, corpus
 from .experiment import (
     SweepIssue,
     convergence_report,
-    emit,
     report_to_csv,
     report_to_json,
     sweep,
@@ -156,13 +155,13 @@ def _cmd_sweep(args) -> int:
     if capped and not records:
         return EXIT_CAPACITY
     report = convergence_report(records, target)
+    text = (report_to_csv if args.format == "csv" else report_to_json)(report)
     if args.out:
-        emit(report, args.format, args.out)
+        Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.format} report to {args.out} "
               f"({len(report.records)} records)")
     else:
-        render = report_to_csv if args.format == "csv" else report_to_json
-        sys.stdout.write(render(report))
+        sys.stdout.write(text)
     hard_failure = not report.monotone_ok or report.below_lct_ok is False
     if hard_failure:
         print("invariant violation in sweep report", file=sys.stderr)
@@ -278,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="fpt enclosures across primes")
     add_experiment_flags(p_sweep)
     p_sweep.add_argument("--target", default=None, help='known lct "n/d" (optional)')
-    p_sweep.add_argument("--out", default=None, help="report path")
+    p_sweep.add_argument("--out", default=None, help="write what stdout would print here")
     p_sweep.add_argument("--format", choices=["csv", "json"], default="json")
     p_sweep.set_defaults(func=_cmd_sweep)
 

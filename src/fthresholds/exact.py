@@ -8,6 +8,7 @@ positive denominator), with helpers for the canonical "n/d" wire format.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -49,7 +50,14 @@ def parse_primes(text: str) -> list[int]:
         lo, hi = int(lo_s), int(hi_s)
         if hi >= PRIME_LIMIT:
             raise DomainError(f"prime range end {hi} out of range (must be < 2^31)")
-        primes = [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
+        # Sieve of Eratosthenes, a byte per number of the range: strike the
+        # multiples of each d <= sqrt(hi) from d^2 on (a composite d adds none).
+        start = max(lo, 2)
+        sieve = bytearray([1]) * max(hi - start + 1, 0)
+        for d in range(2, math.isqrt(max(hi, 0)) + 1):
+            first = max(d * d, -(-start // d) * d)
+            sieve[first - start::d] = bytes(len(range(first, hi + 1, d)))
+        primes = list(itertools.compress(range(start, hi + 1), sieve))
         if not primes:
             raise DomainError(f"no primes in {lo}..{hi}")
         return primes
@@ -124,8 +132,6 @@ class PrimePower:
 
 def prime_power(p: int, e: int) -> PrimePower:
     """Construct p^e, rejecting composite p and powers >= 2^63."""
-    if e < 1:
-        raise DomainError(f"exponent must be >= 1, got {e}")
     if e >= 63:
         # smallest admissible base is 2, and 2^63 already overflows
         raise OverflowError(f"{p}^{e} >= 2^63")

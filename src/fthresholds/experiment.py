@@ -16,7 +16,6 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from .errors import CapacityError, DegenerateReductionError, DomainError
 from .exact import format_rational
@@ -155,8 +154,9 @@ def convergence_report(records: list[SweepRecord],
     """Exact flags over a record list; target-dependent fields None without one."""
     if not records:
         raise DomainError("empty report")
+    records = sorted(records, key=lambda r: (r.p, r.e))
     by_p: dict[int, list[SweepRecord]] = {}
-    for r in sorted(records, key=lambda r: (r.p, r.e)):
+    for r in records:
         by_p.setdefault(r.p, []).append(r)
     monotone_ok = all(
         group[i].low <= group[i + 1].low
@@ -176,7 +176,7 @@ def convergence_report(records: list[SweepRecord],
             + (first.high - first.low) + (last.high - last.low)
     return ConvergenceReport(
         target_lct=target,
-        records=sorted(records, key=lambda r: (r.p, r.e)),
+        records=records,
         max_gap=max_gap,
         monotone_ok=monotone_ok,
         below_lct_ok=below_ok,
@@ -219,15 +219,3 @@ def report_to_csv(report: ConvergenceReport) -> str:
         )
     return "\n".join(lines) + "\n"
 
-
-def emit(report: ConvergenceReport, fmt: str, path: str | Path) -> None:
-    """Write the report; sorted records and canonical rationals keep bytes stable."""
-    if not report.records:
-        raise DomainError("empty report")
-    if fmt == "json":
-        text = report_to_json(report)
-    elif fmt == "csv":
-        text = report_to_csv(report)
-    else:
-        raise DomainError(f"unknown format {fmt!r}")
-    Path(path).write_text(text, encoding="utf-8")

@@ -351,16 +351,17 @@ class _MonomialPacking:
     Branch-and-bound over the generator counts, generators taken by ascending
     degree, counts from the largest down.  A child is cut before it is visited
     when its count plus the rest of the degree budget over the least remaining
-    degree cannot beat the best found; no such bound exceeds the root bound
-    |b| // (least degree), so a solve ends as soon as the best reaches it.
-    The generators are prepared once; NODE_CAP bounds the nodes of all the
-    solves together.
+    degree cannot beat the best found; the budget sums b_i only over the
+    coordinates i that some generator uses.  No bound exceeds the root bound
+    (that sum) // (least degree), so a solve ends as soon as the best reaches
+    it.  The generators are prepared once; NODE_CAP bounds all solves' nodes.
     """
 
     def __init__(self, points: list[tuple]):
         self.gens = sorted(set(points), key=lambda m: (sum(m), drl_key(m)))
         self.degs = [sum(m) for m in self.gens]
         self.min_degree = self.degs[0]
+        self.used = [i for i, column in enumerate(zip(*self.gens)) if any(column)]
         self.nodes = 0
 
     def solve(self, budget: tuple) -> int:
@@ -385,7 +386,7 @@ class _MonomialPacking:
                     return
                 rec(i + 1, count + c, tuple(b - c * x for b, x in zip(budget, v)), rem - c * d)
 
-        rec(0, 0, budget, sum(budget))
+        rec(0, 0, budget, sum(budget[i] for i in self.used))
         return best
 
 

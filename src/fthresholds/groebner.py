@@ -89,21 +89,17 @@ def groebner_basis(gens: Iterable[GFPoly]) -> tuple[GFPoly, ...]:
 def _reduce_basis(basis: list[GFPoly]) -> tuple[GFPoly, ...]:
     """The reduced basis of a monic Groebner basis, by descending lead.
 
-    Minimalize: keep, by ascending lead, each element whose lead no kept lead
-    divides.  Then one pass of tail reduction is exact:
+    Minimalize: for each minimal lead, by ascending lead, keep the first
+    element with it (the last to enter a dict over the reversed basis).  Then
+    one pass of tail reduction is exact:
       * in a minimal basis no lead divides another, so no reduction touches a
         lead, and each element keeps its lead and its coefficient 1;
       * a divisor of a monomial is never larger than it in a monomial order,
         and every tail term of g_i lies below lead(g_i), so only the elements
         with smaller leads, keep[:i], can divide it.
     """
-    leads = [g.lead_monomial() for g in basis]
-    keep: list[GFPoly] = []
-    kept: list[Monomial] = []
-    for i in sorted(range(len(basis)), key=lambda i: drl_key(leads[i])):
-        if not any(monomial_divides(m, leads[i]) for m in kept):
-            kept.append(leads[i])
-            keep.append(basis[i])
+    first = {g.lead_monomial(): g for g in reversed(basis)}
+    keep = [first[m] for m in minimize_points(first)]
     return tuple(normal_form(keep[i], keep[:i]) for i in reversed(range(len(keep))))
 
 
@@ -144,8 +140,6 @@ class Ideal:
     def contains(self, f: GFPoly) -> bool:
         if f.is_zero:
             return True
-        if self.is_zero:
-            return False
         return normal_form(f, self.groebner_basis()).is_zero
 
     def contains_ideal(self, other: "Ideal") -> bool:
@@ -218,8 +212,6 @@ class MonomialIdeal:
         return MonomialIdeal(self.gens + other.gens, self.n)
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        if self.is_zero or other.is_zero:
-            return MonomialIdeal((), self.n)
         return MonomialIdeal(
             [monomial_mul(a, b) for a in self.gens for b in other.gens], self.n
         )
@@ -231,9 +223,6 @@ class MonomialIdeal:
         for _ in range(r):
             result = result * self
         return result
-
-    def bracket(self, q: PrimePower) -> "MonomialIdeal":
-        return MonomialIdeal([tuple(e * q.q for e in g) for g in self.gens], self.n)
 
     def floor_root(self, q: PrimePower) -> "MonomialIdeal":
         """Smallest monomial ideal J with self contained in J^[q]."""

@@ -148,8 +148,6 @@ def lct_monomial(a: MonomialIdeal):
     """
     if a.is_zero:
         return Fraction(0)
-    if a.is_unit():
-        return INFINITY
     ones = [Fraction(1)] * a.n
     return newton_order(NewtonPolytope.from_monomial_ideal(a), ones)
 
@@ -172,8 +170,6 @@ def multiplier_ideal_monomial(a: MonomialIdeal, lam: Fraction) -> MonomialIdeal:
         raise DomainError("multiplier ideal of the zero ideal is not defined here")
     if lam < 0:
         raise DomainError("exponent must be >= 0")
-    if a.is_unit():
-        return MonomialIdeal([(0,) * a.n], a.n)
     W = NewtonPolytope.from_monomial_ideal(a).vertices
     cap = _membership_box(a, lam)
     points = []

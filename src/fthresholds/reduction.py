@@ -13,6 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 
 from .errors import DegenerateReductionError, DomainError
@@ -88,23 +89,13 @@ class CorpusEntry:
     provenance: str  # "monomial-LP" | "literature"
 
 
-_corpus_cache: list[CorpusEntry] | None = None
+@cache
+def _load_corpus() -> tuple[CorpusEntry, ...]:
+    raw = json.loads(resources.files("fthresholds").joinpath("corpus.json").read_text())
+    return tuple(CorpusEntry(item["name"], IntegerIdeal.from_strings(item["gens"], item["n"]),
+                             parse_rational(item["lct0"]), item["provenance"]) for item in raw)
 
 
 def corpus() -> list[CorpusEntry]:
     """The versioned list of known-lct targets shipped with the package."""
-    global _corpus_cache
-    if _corpus_cache is None:
-        raw = json.loads(resources.files("fthresholds").joinpath("corpus.json").read_text())
-        entries = []
-        for item in raw:
-            entries.append(
-                CorpusEntry(
-                    name=item["name"],
-                    ideal=IntegerIdeal.from_strings(item["gens"], item["n"]),
-                    lct0=parse_rational(item["lct0"]),
-                    provenance=item["provenance"],
-                )
-            )
-        _corpus_cache = entries
-    return list(_corpus_cache)
+    return list(_load_corpus())

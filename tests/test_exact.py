@@ -72,7 +72,7 @@ def test_prime_power_examples():
         prime_power(2, 63)
     with pytest.raises(DomainError):
         prime_power(6, 2)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^exponent must be >= 1, got 0$"):
         prime_power(7, 0)
 
 
@@ -134,3 +134,9 @@ def test_parse_primes():
         with pytest.raises(DomainError, match="out of range"):
             parse_primes(text)
     assert time.perf_counter() - start < 0.5
+
+
+def test_parse_primes_wide_range_is_sieved():
+    cached = is_prime.cache_info().currsize
+    assert len(parse_primes("2..3000000")) == 216816
+    assert is_prime.cache_info().currsize == cached

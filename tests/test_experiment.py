@@ -13,8 +13,8 @@ from fthresholds.experiment import (
     SweepIssue,
     SweepRecord,
     convergence_report,
-    emit,
     largest_exponent,
+    report_to_csv,
     report_to_json,
     sweep,
     truncation_table,
@@ -77,6 +77,15 @@ def test_convergence_report_empty():
         convergence_report([])
 
 
+def test_trend_flag_ignores_input_order():
+    a = SweepRecord(p=5, e=2, nu=10, low=Fraction(10, 25), high=Fraction(11, 25), elapsed_ms=0)
+    b = SweepRecord(p=7, e=2, nu=40, low=Fraction(40, 49), high=Fraction(41, 49), elapsed_ms=0)
+    forward = convergence_report([a, b], Fraction(5, 6))
+    backward = convergence_report([b, a], Fraction(5, 6))
+    assert forward.trend_ok is True
+    assert backward == forward
+
+
 def test_monotone_flag_detects_violation():
     a = SweepRecord(p=3, e=1, nu=2, low=Fraction(2, 3), high=Fraction(1), elapsed_ms=0)
     b = SweepRecord(p=3, e=2, nu=5, low=Fraction(5, 9), high=Fraction(6, 9), elapsed_ms=0)
@@ -84,33 +93,28 @@ def test_monotone_flag_detects_violation():
     assert rep.monotone_ok is False
 
 
-def test_emit_csv_and_json(tmp_path: Path):
+def test_render_csv_and_json():
     records = sweep(cusp(), [5, 7], 100)
     rep = convergence_report(records, Fraction(5, 6))
-    csv_path = tmp_path / "report.csv"
-    emit(rep, "csv", csv_path)
-    lines = csv_path.read_text().splitlines()
+    lines = report_to_csv(rep).splitlines()
     assert lines[0] == CSV_HEADER == "p,e,nu,low,high,elapsed_ms"
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "5" and "/" in first[3]
 
-    json_path = tmp_path / "report.json"
-    emit(rep, "json", json_path)
-    payload = json.loads(json_path.read_text())
+    payload = json.loads(report_to_json(rep))
     assert payload["target_lct"] == "5/6"
     assert payload["below_lct_ok"] is True
     assert all("elapsed_ms" not in r for r in payload["records"])
     assert [r["p"] for r in payload["records"]] == [5, 7]
 
 
-def test_emit_empty_report_errors(tmp_path: Path):
-    rep = convergence_report(
-        [SweepRecord(p=5, e=1, nu=3, low=Fraction(3, 5), high=Fraction(4, 5), elapsed_ms=0)]
-    )
-    rep.records = []
-    with pytest.raises(DomainError):
-        emit(rep, "json", tmp_path / "empty.json")
+def test_empty_report_refused_before_rendering():
+    # The sweep renders only what convergence_report returns, and that refuses
+    # an empty record list.
+    for render in (report_to_csv, report_to_json):
+        with pytest.raises(DomainError, match="empty report"):
+            render(convergence_report([]))
 
 
 def test_sweep_order_independent_bytes(tmp_path: Path):

