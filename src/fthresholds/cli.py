@@ -83,7 +83,7 @@ def _cmd_fpt(args) -> int:
     enc = fpt_enclosure(ideal, args.e)
     print(f"[{format_rational(enc.low)}, {format_rational(enc.high)}]")
     if args.certify:
-        point = fpt_point(ideal, args.e, e_max=args.emax)
+        point = fpt_point(ideal, args.e)
         if point is None:
             print("fpt: unconfirmed")
         else:
@@ -235,9 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fpt = sub.add_parser("fpt", help="enclosure of the F-pure threshold")
     add_ring_flags(p_fpt)
     p_fpt.add_argument("--certify", action="store_true",
-                       help="attempt tau-route confirmation of a point value")
-    p_fpt.add_argument("--emax", type=int, default=None,
-                       help="chain depth for --certify (default max(e, 3))")
+                       help="print fpt where its proved bounds meet")
     p_fpt.set_defaults(func=_cmd_fpt)
 
     p_froot = sub.add_parser("froot", help="Frobenius root of an ideal")

@@ -82,31 +82,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(s)
 
 
-def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The unique smallest-denominator rational in the closed interval [lo, hi]."""
-    if lo > hi:
-        raise DomainError(f"empty interval [{lo}, {hi}]")
-    n = math.ceil(lo)
-    if n <= hi:
-        return Fraction(n)
-    k = math.floor(lo)
-    # Both endpoints lie strictly between k and k+1; recurse on the reciprocal tail.
-    return k + 1 / simplest_between(1 / (hi - k), 1 / (lo - k))
-
-
-def farey_below(x: Fraction, max_den: int) -> Fraction:
-    """Largest rational strictly below x with denominator <= max_den."""
-    if max_den < 1:
-        raise DomainError("denominator bound must be positive")
-    best = None
-    for d in range(1, max_den + 1):
-        num = math.ceil(x * d) - 1
-        cand = Fraction(num, d)
-        if best is None or cand > best:
-            best = cand
-    return best
-
-
 @dataclass(frozen=True)
 class PrimePower:
     """A validated prime power q = p^e with q < 2^63."""

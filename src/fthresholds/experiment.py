@@ -133,6 +133,8 @@ def truncation_table(ideal: IntegerIdeal, primes: list[int], q_max: int,
     with p > q_max, a degenerate reduction or a capacity failure are recorded
     in `issues` (when given) and skipped with all their rows, as in sweep.
     """
+    if not 1 <= dmin <= dmax:
+        raise DomainError(f"need 1 <= dmin <= dmax, got dmin={dmin}, dmax={dmax}")
     def rows(p: int, e: int, base_ideal) -> list[TruncationRecord]:
         base = fpt_enclosure(base_ideal, e)
         out = []

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import CapacityError, DomainError, InvariantViolation
-from .exact import PrimePower, farey_below, prime_power, simplest_between
+from .exact import PrimePower, prime_power
 from .gfpoly import GFPoly, drl_key, echelonize, monomials_ascending, truncated_powers
 from .groebner import Ideal, MonomialIdeal
 from .newton import NewtonPolytope, multiplier_ideal_monomial
@@ -559,49 +559,16 @@ def test_ideal(a: Ideal, lam: Fraction, e_max: int) -> TestIdealResult:
     return TestIdealResult(prev, lam, e_max, False)
 
 
-def proves_below_threshold(a: Ideal, lam: Fraction, e_max: int) -> bool:
-    """Sound one-sided proof that lam is strictly below the threshold at 0.
+def fpt_point(a: Ideal, e: int) -> Fraction | None:
+    """fpt at the origin where its proved bounds meet at level e, else None.
 
-    ceil(lam * p^e) <= nu(e) means a^ceil(lam p^e) escapes m^[p^e], so the
-    level-e chain value escapes m and tau(a^lam) is trivial at the origin.
-    Complete in the limit: any lam below the threshold is eventually caught.
-    """
-    lam = Fraction(lam)
-    for e in range(1, e_max + 1):
-        q = prime_power(a.p, e)
-        if math.ceil(lam * q.q) <= nu(a, e).nu:
-            return True
-    return False
-
-
-def fpt_point(a: Ideal, e: int, *, e_max: int = None) -> Fraction | None:
-    """Rational point value of the threshold, when it is confirmed.
-
-    First the two proved bounds of _nu_root: nu/(q - 1) <= fpt <=
-    min((nu + k)/q, lct(T)), T the term ideal; when they meet, that is fpt.
-    Otherwise the tau route: takes the smallest-denominator rational in the
-    level-e enclosure as the candidate; confirms that the stabilized tau at
-    the candidate vanishes at the origin while the largest grid rational below
-    it (denominators up to q) is provably under the threshold.  Returns None
-    when no confirmation is reached.  The stabilized tau value and the
-    below-proof are exact, but the step to the grid rational assumes that the
-    denominator of the threshold is at most the limit, which nothing proves.
+    nu/(q - 1) <= fpt <= min((nu + k)/q, lct(T)), T the term ideal: the
+    _nu_root docstring proves both ends (Hara-Yoshida 2003, Theorem 4.8;
+    Mustata-Takagi-Watanabe 2005).  When they are equal, that value is fpt.
+    None claims nothing; the zero ideal, which has no T, always gives None.
     """
     enc = fpt_enclosure(a, e)
-    dlim = enc.q.q
-    if not a.is_zero:
-        low = Fraction(enc.nu, dlim - 1)
-        if low == min(enc.high, _term_lct(list(a.gens))):
-            return low
-    cand = simplest_between(enc.low, enc.high)
-    if cand.denominator > dlim or cand <= 0:
+    if a.is_zero:
         return None
-    emax = e_max if e_max is not None else max(e, 3)
-    at = test_ideal(a, cand, emax)
-    at_origin_proper = all(g.vanishes_at_origin() for g in at.ideal.gens)
-    if not (at.stabilized and at_origin_proper):
-        return None
-    below = farey_below(cand, dlim)
-    if below > 0 and not proves_below_threshold(a, below, emax):
-        return None
-    return cand
+    low = Fraction(enc.nu, enc.q.q - 1)
+    return low if low == min(enc.high, _term_lct(list(a.gens))) else None

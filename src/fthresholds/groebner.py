@@ -178,6 +178,8 @@ class MonomialIdeal:
     __slots__ = ("n", "gens")
 
     def __init__(self, points: Iterable[Monomial], n: int):
+        if n < 1:
+            raise DomainError(f"need at least one variable, got n={n}")
         pts = [tuple(q) for q in points]
         for q in pts:
             if len(q) != n:

@@ -19,8 +19,8 @@ from pathlib import Path
 from typing import Sequence
 
 from fthresholds.errors import DomainError
-from fthresholds.gfpoly import GFPoly, echelonize, s_polynomial
-from fthresholds.groebner import _reduce_basis, normal_form
+from fthresholds.gfpoly import GFPoly, echelonize, monomial_divides, s_polynomial
+from fthresholds.groebner import normal_form
 from fthresholds.newton import NewtonPolytope
 
 # pytest puts src/ on sys.path (pyproject.toml); tests that start
@@ -168,7 +168,18 @@ def buchberger_all_pairs(gens: list[GFPoly]) -> tuple[GFPoly, ...]:
         for t in range(len(basis)):
             heapq.heappush(heap, (drl(lcm(basis[t], r)), t, len(basis)))
         basis.append(r)
-    return _reduce_basis(basis)
+    # Reduce without the package's reduction: drop each element whose lead
+    # another lead divides (of equal leads, keep the first), then replace each
+    # kept g by its remainder on the others.  No other lead divides lead(g),
+    # so g keeps its lead, and every tail term ends outside the lead ideal.
+    leads = [g.lead_monomial() for g in basis]
+    keep = [dict(g.terms.items()) for i, g in enumerate(basis)
+            if not any(monomial_divides(m, leads[i]) and (m != leads[i] or j < i)
+                       for j, m in enumerate(leads))]
+    reduced = [ref_normal_form(g, keep[:i] + keep[i + 1:], gens[0].p)
+               for i, g in enumerate(keep)]
+    reduced.sort(key=lambda g: drl(max(g, key=drl)), reverse=True)
+    return tuple(GFPoly.make(gens[0].n, gens[0].p, g.items()) for g in reduced)
 
 
 # -- tuple-dict reference for the packed GFPoly kernels ------------------------

@@ -63,6 +63,21 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _ = run(capsys, "fpt", "--gens", "x+1", "-n", "2", "-p", "5", "-e", "1")
     assert code == EXIT_USAGE
+    for argv, message in (
+        (["lct", "--gens", "1", "-n", "0"], "need at least one variable, got n=0"),
+        (["mult-ideal", "--gens", "1", "-n", "0", "--lambda", "1"],
+         "need at least one variable, got n=0"),
+        (["truncation", "--gens", "x^2+y^3", "-n", "2", "--primes", "5", "--qmax", "125",
+          "--dmin", "5", "--dmax", "3"], "1 <= dmin <= dmax"),
+        (["truncation", "--gens", "x^2+y^3", "-n", "2", "--primes", "5", "--qmax", "125",
+          "--dmin", "0", "--dmax", "3"], "1 <= dmin <= dmax"),
+        # --certify runs no tau chain, so it has no chain depth to set
+        (["fpt", "--gens", "x^2+y^3", "-n", "2", "-p", "7", "-e", "3", "--certify",
+          "--emax", "5"], "unrecognized arguments: --emax 5"),
+    ):
+        code = dispatch(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and message in captured.err and captured.out == "", argv
 
 
 def test_no_floating_point_in_output(capsys):
@@ -231,6 +246,15 @@ def test_fpt_certify_where_the_bounds_meet(capsys):
                         "--certify")
         assert code == EXIT_OK
         assert out.splitlines()[1] == "fpt = 5/6 (confirmed)"
+
+
+def test_fpt_certify_claims_only_where_the_bounds_meet(capsys):
+    # The enclosure at 2^2 is [1/4, 1/2]; its simplest point, 1/2, is not the
+    # threshold, which the enclosure [3/8, 7/16] at 2^4 excludes.
+    code, out = run(capsys, "fpt", "--gens", "x^3*y + x*y^4", "-n", "2", "-p", "2", "-e", "2",
+                    "--certify")
+    assert code == EXIT_OK
+    assert out == "[1/4, 1/2]\nfpt: unconfirmed\n"
 
 
 def test_capacity_cap_exits_2_in_both_experiments(monkeypatch, capsys):

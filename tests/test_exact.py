@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from fthresholds.errors import DomainError
 from fthresholds.exact import (
     PrimePower,
-    farey_below,
     format_rational,
     is_prime,
     parse_primes,
     parse_rational,
     prime_power,
-    simplest_between,
 )
 
 
@@ -91,30 +89,6 @@ def test_prime_power_invariants(p, e):
 def test_is_prime_small():
     primes = [p for p in range(60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
-
-
-def test_simplest_between():
-    assert simplest_between(Fraction(5, 7), Fraction(6, 7)) == Fraction(3, 4)
-    assert simplest_between(Fraction(16, 9), Fraction(2)) == 2
-    assert simplest_between(Fraction(40, 49), Fraction(41, 49)) == Fraction(5, 6)
-
-
-@given(st.fractions(max_denominator=200), st.fractions(max_denominator=200))
-def test_simplest_between_is_minimal(a, b):
-    lo, hi = min(a, b), max(a, b)
-    s = simplest_between(lo, hi)
-    assert lo <= s <= hi
-    # no rational with a smaller denominator fits in the interval
-    for d in range(1, s.denominator):
-        import math
-
-        assert math.floor(hi * d) < lo * d or Fraction(math.floor(hi * d), d) < lo
-
-
-def test_farey_below():
-    assert farey_below(Fraction(5, 6), 49) == Fraction(39, 47)
-    assert farey_below(Fraction(1, 2), 3) == Fraction(1, 3)
-    assert farey_below(Fraction(5, 6), 49) < Fraction(5, 6)
 
 
 def test_parse_primes():

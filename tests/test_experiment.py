@@ -143,9 +143,10 @@ def test_truncation_table_records():
         assert r.base == fpt_enclosure(a, r.e)
         assert r.trunc == fpt_enclosure(truncate_ideal(a, r.d), r.e)
         assert r.bound == Fraction(2, r.d) and r.ok
-    assert truncation_table(model, [5], 10**4, 4, 3) == []
-    with pytest.raises(DomainError):
-        truncation_table(model, [5], 10**4, 0, 1)
+    # an empty or invalid d range is refused before any prime's enclosure
+    for dmin, dmax in ((4, 3), (0, 1), (-2, 5)):
+        with pytest.raises(DomainError, match="1 <= dmin <= dmax"):
+            truncation_table(model, [5], 10**4, dmin, dmax)
     # degenerate primes and primes without an exponent are skipped, as in sweep
     issues = []
     records = truncation_table(IntegerIdeal.from_strings(["2*x"], 2), [5, 2, 101], 25, 3, 3,

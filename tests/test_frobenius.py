@@ -20,7 +20,6 @@ from fthresholds.frobenius import (
     frobenius_root,
     frobenius_root_principal_power,
     nu,
-    proves_below_threshold,
 )
 from fthresholds.frobenius import test_ideal as tau_chain
 from fthresholds.gfpoly import GFPoly, echelonize, truncated_powers
@@ -659,10 +658,15 @@ def test_nu_split_bound_skips_unused_coordinates(gens, n, p, e, value):
 
 def test_fpt_point_certification():
     assert fpt_point(cusp(7), 2) == Fraction(5, 6)
-    assert fpt_point(cusp(5), 3, e_max=5) == Fraction(4, 5)
     assert fpt_point(ideal(["x", "y"], p=3), 2) == 2
-    # p = 2: the cusp threshold is 1/2
-    assert fpt_point(cusp(2), 4, e_max=6) == Fraction(1, 2)
+    # fpt = 4/5 at p = 5 and 1/2 at p = 2 are the upper ends of the enclosures
+    # [99/125, 4/5] and [7/16, 1/2], but nu/(q - 1) stays below them.
+    assert fpt_point(cusp(5), 3) is None
+    assert fpt_point(cusp(2), 4) is None
+    # The enclosure at 2^2 is [1/4, 1/2] and its simplest point 1/2 is wrong:
+    # at 2^4 the enclosure is [3/8, 7/16].  A point is only returned where the
+    # proved bounds meet.
+    assert fpt_point(ideal(["x^3*y + x*y^4"], p=2), 2) is None
 
 
 def test_fpt_point_where_the_bounds_meet(monkeypatch):
@@ -677,11 +681,9 @@ def test_fpt_point_where_the_bounds_meet(monkeypatch):
         assert fpt_point(cusp(p), e) == Fraction(5, 6), p
     assert fpt_point(ideal(["x^2", "y^3"], p=7), 3) == Fraction(5, 6)
     assert fpt_point(ideal(["x^3 + y^3 + z^3"], n=3, p=7), 3) == 1
-    # At p = 5 (mod 6), fpt = 5/6 - 1/(6p): the bounds stay apart and the tau
-    # route is asked.
+    # At p = 5 (mod 6), fpt = 5/6 - 1/(6p): the bounds stay apart.
     for p in (5, 11):
-        with pytest.raises(AssertionError, match="test_ideal called"):
-            fpt_point(cusp(p), 2)
+        assert fpt_point(cusp(p), 2) is None, p
 
 
 @given(st.integers(0, 10**6))
@@ -705,12 +707,6 @@ def test_fpt_lower_bounds_below_upper_bounds(seed):
         lows.append(Fraction(v, p**level - 1))
         highs.append(Fraction(v + len(gens), p**level))
     assert max(lows) <= min(highs), (a, lows, highs)
-
-
-def test_proves_below_threshold():
-    a = cusp(7)
-    assert proves_below_threshold(a, Fraction(1, 2), 2)
-    assert not proves_below_threshold(a, Fraction(9, 10), 3)
 
 
 def test_ascending_chain_is_verified():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fthresholds import groebner
-from fthresholds.errors import CapacityError
+from fthresholds.errors import CapacityError, DomainError
 from fthresholds.exact import prime_power
 from fthresholds.gfpoly import GFPoly, drl_key, monomial_divides
 from fthresholds.groebner import (
@@ -186,6 +186,9 @@ def test_monomial_ideal_basics():
     assert a.floor_root(prime_power(5, 1)).gens == ((0, 0),)
     assert MonomialIdeal([(0, 0)], 2).is_unit()
     assert MonomialIdeal([], 2).is_zero
+    for n in (0, -1):
+        with pytest.raises(DomainError, match=f"need at least one variable, got n={n}"):
+            MonomialIdeal([()], n)
 
 
 def test_monomial_power():
