@@ -83,7 +83,7 @@ def _cmd_fpt(args) -> int:
     enc = fpt_enclosure(ideal, args.e)
     print(f"[{format_rational(enc.low)}, {format_rational(enc.high)}]")
     if args.certify:
-        point = fpt_point(ideal, args.e)
+        point = fpt_point(ideal, enc)
         if point is None:
             print("fpt: unconfirmed")
         else:

@@ -34,7 +34,8 @@ from typing import Iterable, Iterator
 
 from .errors import CapacityError, DomainError, InvariantViolation
 from .exact import PrimePower, prime_power
-from .gfpoly import GFPoly, drl_key, echelonize, monomials_ascending, truncated_powers
+from .gfpoly import (GFPoly, drl_key, echelonize, local_generators, monomials_ascending,
+                     truncated_powers)
 from .groebner import Ideal, MonomialIdeal
 from .newton import NewtonPolytope, multiplier_ideal_monomial
 
@@ -176,48 +177,83 @@ class _PowerTable:
                 yield h if j == 0 else gj if j == s else self._mul(gj, h, t)
 
 
-def _digit(M: int, top: int, p: int) -> int:
-    """The t of the digit identity: the largest t <= min(M, top) with t = M
-    (mod p), top = k(p-1)."""
-    t = min(M, top)
-    return t - (t - M) % p
+def _digits(N: int, e: int, top: int, p: int) -> tuple[list[int], int]:
+    """The t of the digit identity at each of e levels, and the M left, so
+    that (a^N)^[1/p^e] = a^M J: at each level t is the largest integer
+    <= min(M, top) with t = M (mod p), top = k(p-1), and M becomes (M - t)/p."""
+    ts = []
+    for _ in range(e):
+        t = min(N, top)
+        t -= (t - N) % p
+        ts.append(t)
+        N = (N - t) // p
+    return ts, N
 
 
-def _digit_root(powers: _PowerTable, N: int, e: int, *,
-                truncate: bool = False) -> tuple[list[GFPoly], int]:
+def _digit_root(powers: _PowerTable, N: int, e: int) -> tuple[list[GFPoly], int]:
     """(J, M) with (a^N)^[1/p^e] = a^M (J), from powers = _PowerTable(gens of a):
     the digit identity of the module docstring, once per level.
 
     The products h g stream into _root_step, so only the table, the previous
-    J and the basis being built are kept.  With truncate=True, J is computed
-    modulo m only, which is all _escapes asks.  Since (I + m^[Q])^[1/p] =
-    I^[1/p] + m^[Q/p], the step-i products are then needed only modulo
-    m^[p^(e-i)], so every term with an exponent >= p^(e-i) is dropped.  The J
-    of the previous step already lies in that box.
+    J and the basis being built are kept.  J is the full echelon of each
+    level's root, since tau and froot need the ideal itself; _escapes, which
+    asks only whether the root lies in m, keeps far less.
     """
     one = powers[0][0]
     n, p = one.n, one.p
-    top = len(powers) - 1
-    J, M = [one], N
-    for i in range(e):
-        t = _digit(M, top, p)
+    digits, M = _digits(N, e, len(powers) - 1, p)
+    J = [one]
+    for t in digits:
         if t:
-            prev, box = J, p**(e - i)
-            J = (h.mul_truncated(g, box) if truncate else h * g
-                 for h in powers[t] for g in prev)
+            prev = J
+            J = (h * g for h in powers[t] for g in prev)
         J = _root_step(J, n, p, p)
-        M = (M - t) // p
     return J, M
 
 
 def _escapes(powers: _PowerTable, r: int, level: int) -> bool:
     """Whether a^r is not contained in m^[p^level], powers = _PowerTable(gens).
 
-    By adjunction a^r escapes iff (a^r)^[1/p^level] = a^M (J) is not inside m,
-    that is iff M = 0 and some generator of J has a nonzero constant term.
+    By adjunction a^r escapes iff (a^r)^[1/p^level] = a^M (J) is not inside m
+    (Mustata-Takagi-Watanabe 2005), that is iff M = 0 and J is not inside m.
+    The digits alone fix M, so M > 0 answers False before any product.
+
+    Box.  Since (I + m^[Q])^[1/p] = I^[1/p] + m^[Q/p] and m^[1] = m, the
+    products of step i = 0, 1, ... are needed only modulo m^[p^(level-i)],
+    so every term with an exponent >= p^(level-i) is dropped.  The J of the
+    previous step already lies in that box.
+
+    Local generators.  Whether J lies in m is a question at the origin:
+    an ideal lies in m iff its localization at the origin lies in the
+    maximal ideal there.  Frobenius roots commute with localization
+    (Blickle-Mustata-Smith 2008), and so do products and sums, so two
+    ideals with the same localization have roots, products with a^t and
+    sums with m^[Q] with the same localization, and every later step, hence
+    the answer, is unchanged when J is replaced by such an ideal.  After
+    each step but the last, gfpoly.local_generators keeps the rows of J's
+    echelon that are independent modulo the shifts x_i g (truncated to the
+    next box Q) and the rows kept before them.  With I = (J) + m^[Q], every
+    row lies in (kept) + m^[Q] + m I, so by Nakayama (kept) + m^[Q] and I
+    have the same localization, and m^[Q] is dropped by the box anyway.
+
+    Last level.  With box p, (h J)^[1/p] is generated by the root pieces of
+    the products h g, and the piece of x^gamma, gamma in [0, p)^n, has a
+    nonzero constant term iff h g has a nonzero term x^gamma.  So the last
+    step forms the products truncated to the box p and stops at the first
+    nonzero one, with no root split and no echelon.
     """
-    J, M = _digit_root(powers, r, level, truncate=True)
-    return M == 0 and any(g.constant_term() for g in J)
+    one = powers[0][0]
+    p = one.p
+    digits, M = _digits(r, level, len(powers) - 1, p)
+    if M:
+        return False
+    J = [one]
+    for i, t in enumerate(digits[:-1]):
+        if t:
+            prev, box = J, p**(level - i)
+            J = (h.mul_truncated(g, box) for h in powers[t] for g in prev)
+        J = local_generators(_root_step(J, one.n, p, p), p**(level - i - 1))
+    return any(not h.mul_truncated(g, p).is_zero for h in powers[digits[-1]] for g in J)
 
 
 def _times_power(gens: list[GFPoly], M: int, J: list[GFPoly]) -> list[GFPoly]:
@@ -243,11 +279,10 @@ def _monomial_power_root(mono: MonomialIdeal, N: int, q: PrimePower) -> Monomial
     powers = [unit]
     while len(powers) <= min(N, top):
         powers.append(powers[-1] * mono)
-    J, M = unit, N
-    for _ in range(q.e):
-        t = _digit(M, top, p)
+    digits, M = _digits(N, q.e, top, p)
+    J = unit
+    for t in digits:
         J = (powers[t] * J).floor_root(one_level)
-        M = (M - t) // p
     return mono.pow(M) * J
 
 
@@ -322,6 +357,17 @@ def _nu_root(gens: list[GFPoly], e: int) -> int:
     k >= 2 nu is not a function of fpt (nu((x+y^2, y+x^2), 3^2) = 16, while
     fpt = lct = 2), so those ideals keep probing.
 
+    Jump.  After level 1, when e > 1 and the closed form has not answered,
+    one probe at level e comes first, at
+
+        U = min(floor((p^e - 1) lct), p^(e-1) nu(1) + k (p^(e-1) - 1)).
+
+    Both terms bound nu(e) from above: the first is the upper bound above,
+    the second the window iterated e - 1 times, as k(p - 1) (1 + p + ... +
+    p^(e-2)) = k (p^(e-1) - 1).  If a^U escapes m^[p^e], then nu(e) >= U, so
+    nu(e) = U.  Otherwise nu(e) < U, and levels 2..e are scanned as above
+    with the level-e cap lowered to U - 1, so that U is not probed twice.
+
     The powers come from a _PowerTable that builds each a^t on its first read,
     modulo m^[p^e], as every probe truncates them to m^[p^l] with l <= e.
     """
@@ -330,10 +376,10 @@ def _nu_root(gens: list[GFPoly], e: int) -> int:
     top = len(powers) - 1
     lct = _term_lct(gens)
     num, den = lct.numerator, lct.denominator
+    caps = [(p**level - 1) * num // den for level in range(e + 1)]
     value = 0
     for level in range(1, e + 1):
-        cap = (p**level - 1) * num // den
-        for r in range(min(p * value + top, cap), p * value - 1, -1):
+        for r in range(min(p * value + top, caps[level]), p * value - 1, -1):
             if _escapes(powers, r, level):
                 value = r
                 break
@@ -341,6 +387,11 @@ def _nu_root(gens: list[GFPoly], e: int) -> int:
             raise InvariantViolation("nu window lost its lower bound")
         if k == 1 and value * den == (p**level - 1) * num:
             return -(-num * p**e // den) - 1
+        if level == 1 < e:
+            jump = min(caps[e], p**(e - 1) * value + k * (p**(e - 1) - 1))
+            if _escapes(powers, jump, e):
+                return jump
+            caps[e] = jump - 1
     return value
 
 
@@ -433,13 +484,17 @@ def nu(a: Ideal, e: int) -> NuValue:
         bounds each power, NODE_CAP the search;
       * every other ideal: the digit root (_nu_root), over a table of a^t
         modulo m^[p^e], t <= k(p-1), whose entries are built on first read
-        and whose terms are capped by POWER_TABLE_CAP.  From nu(0) = 0, each
-        level l = 1..e scans the window [p nu, p nu + k(p-1)] from the top,
-        capped by floor((p^l - 1) lct) for the lct of the term ideal, and
-        decides each probe modulo m with products truncated to the box that
-        still matters (_escapes).  A principal ideal stops at the first level
-        where nu meets that cap, with the closed form ceil(lct p^e) - 1.  The
-        _nu_root docstring proves both bounds, nu(l)/(p^l - 1) <= fpt <= lct.
+        and whose terms are capped by POWER_TABLE_CAP.  Level 1 scans the
+        window [0, k(p-1)] from the top, capped by floor((p - 1) lct) for the
+        lct of the term ideal.  A principal ideal stops at the first level
+        where nu meets that cap, with the closed form ceil(lct p^e) - 1.
+        Otherwise one probe at level e tries the least proved upper bound
+        for nu(e) and answers when it escapes; when it does not, each level
+        l = 2..e scans its window [p nu, p nu + k(p-1)] the same way.  Each
+        probe is decided at the origin (_escapes): products truncated to the
+        box that still matters, local generators between root steps, and a
+        box test at the last step.  The _nu_root docstring proves the bounds,
+        nu(l)/(p^l - 1) <= fpt <= lct, and the jump.
     """
     q = prime_power(a.p, e)
     for g in a.gens:
@@ -559,15 +614,15 @@ def test_ideal(a: Ideal, lam: Fraction, e_max: int) -> TestIdealResult:
     return TestIdealResult(prev, lam, e_max, False)
 
 
-def fpt_point(a: Ideal, e: int) -> Fraction | None:
-    """fpt at the origin where its proved bounds meet at level e, else None.
+def fpt_point(a: Ideal, enc: FptEnclosure) -> Fraction | None:
+    """fpt at the origin where its proved bounds meet, else None; enc is
+    fpt_enclosure(a, e), so a caller that has the enclosure computes nu once.
 
     nu/(q - 1) <= fpt <= min((nu + k)/q, lct(T)), T the term ideal: the
     _nu_root docstring proves both ends (Hara-Yoshida 2003, Theorem 4.8;
     Mustata-Takagi-Watanabe 2005).  When they are equal, that value is fpt.
     None claims nothing; the zero ideal, which has no T, always gives None.
     """
-    enc = fpt_enclosure(a, e)
     if a.is_zero:
         return None
     low = Fraction(enc.nu, enc.q.q - 1)

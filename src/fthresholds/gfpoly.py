@@ -561,6 +561,28 @@ def s_polynomial(f: GFPoly, g: GFPoly) -> GFPoly:
             - g.mul_term(_unpack(lcm - lg, n, w), pow(g._terms[lg], -1, p)))
 
 
+def _add_row(pivots: dict, terms: dict, p: int) -> bool:
+    """Reduce the row `terms` by the echelon `pivots`, which maps each pivot's
+    lead to its monic terms, and add a nonzero rest as a new pivot.  Return
+    whether it added one (False: the row lay in the span of the pivots)."""
+    work = dict(terms)
+    while work:
+        m = max(work)
+        piv = pivots.get(m)
+        if piv is None:
+            inv = pow(work[m], -1, p)
+            pivots[m] = {mm: (cc * inv) % p for mm, cc in work.items()}
+            return True
+        c = work[m]
+        for mm, cc in piv.items():
+            v = (work.get(mm, 0) - c * cc) % p
+            if v:
+                work[mm] = v
+            elif mm in work:
+                del work[mm]
+    return False
+
+
 def echelonize(polys: Iterable[GFPoly], n: int, p: int) -> list[GFPoly]:
     """Echelonize a generating set over F_p (same ideal, bounded count).
 
@@ -574,22 +596,33 @@ def echelonize(polys: Iterable[GFPoly], n: int, p: int) -> list[GFPoly]:
     """
     pivots: dict = {}
     for g in polys:
-        work = dict(g._terms)
-        while work:
-            m = max(work)
-            piv = pivots.get(m)
-            if piv is None:
-                inv = pow(work[m], -1, p)
-                pivots[m] = {mm: (cc * inv) % p for mm, cc in work.items()}
-                break
-            c = work[m]
-            for mm, cc in piv.items():
-                v = (work.get(mm, 0) - c * cc) % p
-                if v:
-                    work[mm] = v
-                elif mm in work:
-                    del work[mm]
+        _add_row(pivots, g._terms, p)
     return [GFPoly(n, p, pivots[m]) for m in sorted(pivots, reverse=True)]
+
+
+def local_generators(rows: list[GFPoly], box: int) -> list[GFPoly]:
+    """The rows, taken in the order given, that stay independent modulo V
+    plus the rows kept before them; V is spanned by the shifts x_i g of every
+    row g, with every term having some exponent >= box dropped.
+
+    So every row lies in V plus the span of the kept rows: with I the ideal
+    of the rows plus m^[box], I lies in (kept) + m^[box] + m I, and the kept
+    rows with m^[box] generate I in the local ring at the origin (Nakayama).
+    No shift has a constant term, so the first row that has one is kept.
+    """
+    if not rows:
+        return []
+    n, p = rows[0].n, rows[0].p
+    w = _width(n)
+    fields, bias, guards = _box(box, n, w)
+    shifts = [_pack([0] * i + [1] + [0] * (n - 1 - i), w) for i in range(n)]
+    pivots: dict = {}
+    for g in rows:
+        for shift in shifts:
+            _add_row(pivots, {mm: c for m, c in g._terms.items()
+                              if not ((mm := m + shift) - ((mm << w) & fields) + bias) & guards},
+                     p)
+    return [g for g in rows if _add_row(pivots, g._terms, p)]
 
 
 def truncated_powers(f: GFPoly, e: int, term_cap: int,

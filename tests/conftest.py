@@ -5,8 +5,9 @@ applied only once at the end (nu_dp truncates each product, which drops only
 terms that no later factor can bring back), ideal powers are expanded as
 explicit products, binomial survival is decided digit by digit with
 Lucas' theorem, Groebner bases come from Buchberger's loop over every pair
-(buchberger_all_pairs), and Newton-polytope orders are solved as one exact LP
-each (order_lp) instead of read off the facet normals.
+(buchberger_all_pairs), Newton-polytope orders are solved as one exact LP
+each (order_lp) instead of read off the facet normals, and a nu probe keeps
+the full echelon of every level's root (escapes_oracle).
 """
 
 import heapq
@@ -107,6 +108,25 @@ def eager_powers(gens: list[GFPoly]) -> list[list[GFPoly]]:
         span = [h * g for h in powers[-1] for g in gens]
         powers.append(echelonize(span, n, p) if len(gens) > 1 else span)
     return powers
+
+
+def escapes_oracle(powers, r: int, level: int) -> bool:
+    """Whether a^r is not contained in m^[p^level], powers[t] spanning a^t for
+    t <= k(p-1): the digit root with the full echelon of every level's root,
+    each step's products truncated to the box p^(level-i) that still matters,
+    then a constant term of the last J (and no power of a left over)."""
+    one = powers[0][0]
+    n, p = one.n, one.p
+    top = len(powers) - 1
+    J, M = [one], r
+    for i in range(level):
+        t = min(M, top)
+        t -= (t - M) % p
+        if t:
+            J = [h.mul_truncated(g, p**(level - i)) for h in powers[t] for g in J]
+        J = echelonize([piece for g in J for piece in g.root_pieces(p)], n, p)
+        M = (M - t) // p
+    return M == 0 and any(g.constant_term() for g in J)
 
 
 def expanded_power(gens: list[GFPoly], N: int) -> list[GFPoly]:

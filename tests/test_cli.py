@@ -248,6 +248,24 @@ def test_fpt_certify_where_the_bounds_meet(capsys):
         assert out.splitlines()[1] == "fpt = 5/6 (confirmed)"
 
 
+def test_fpt_certify_computes_nu_once(monkeypatch, capsys):
+    # fpt_point reads the enclosure the command has already printed.
+    calls = []
+    nu = frobenius.nu
+
+    def counted(a, e):
+        calls.append(e)
+        return nu(a, e)
+
+    monkeypatch.setattr(frobenius, "nu", counted)
+    for gens, p, e in (("x^2+y^3", 7, 3), ("x^3*y + x*y^4", 2, 2), ("x^2+y^3, x^3+y^2", 59, 3)):
+        calls.clear()
+        code = dispatch(["fpt", "--gens", gens, "-n", "2", "-p", str(p), "-e", str(e),
+                         "--certify"])
+        assert code == EXIT_OK and calls == [e]
+    assert capsys.readouterr().out.splitlines()[-1] == "fpt = 1/1 (confirmed)"
+
+
 def test_fpt_certify_claims_only_where_the_bounds_meet(capsys):
     # The enclosure at 2^2 is [1/4, 1/2]; its simplest point, 1/2, is not the
     # threshold, which the enclosure [3/8, 7/16] at 2^4 excludes.

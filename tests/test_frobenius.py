@@ -31,6 +31,7 @@ from fthresholds.reduction import truncate_ideal
 from conftest import (
     cusp_nu_oracle,
     eager_powers,
+    escapes_oracle,
     expanded_power,
     nu_bruteforce,
     nu_dp,
@@ -54,6 +55,10 @@ def ideal(texts, n=2, p=5):
 
 def cusp(p):
     return ideal(["x^2 + y^3"], 2, p)
+
+
+def point(a, e):
+    return fpt_point(a, fpt_enclosure(a, e))
 
 
 def test_bracket_power_examples():
@@ -451,6 +456,33 @@ def test_nu_root_cap_and_box_truncated_probe(seed):
         prev = value
 
 
+@given(st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_escapes_matches_full_echelon_oracle(seed):
+    """The probe with local generators between root steps and a box test at
+    the last step decides every r of every level's window, and a few r
+    anywhere below k p^level, as the full echelon of every level does
+    (n <= 3, k <= 3, p <= 7, e <= 4)."""
+    rng = random.Random(seed)
+    n, k, p = rng.randint(1, 3), rng.randint(1, 3), rng.choice([2, 3, 5, 7])
+    gens = [g for g in (rand_gfpoly(rng, n, p, max_deg=3, max_terms=3, vanish=True)
+                        for _ in range(k)) if not g.is_zero]
+    if not gens:
+        return
+    limit = 343 if n * len(gens) <= 3 else 125 if n * len(gens) <= 4 else 49
+    e = max(level for level in range(1, 5) if level == 1 or p**level <= limit)
+    powers = frobenius._PowerTable(gens, p**e)
+    top = len(powers) - 1
+    value = 0
+    for level in range(1, e + 1):
+        window = list(range(p * value, p * value + top + 2))
+        got = [frobenius._escapes(powers, r, level) for r in window]
+        assert got == [escapes_oracle(powers, r, level) for r in window], level
+        value = max(r for r, escapes in zip(window, got) if escapes)
+        for r in (rng.randrange(len(gens) * p**level) for _ in range(3)):
+            assert frobenius._escapes(powers, r, level) == escapes_oracle(powers, r, level)
+
+
 def test_nu_root_cap_is_not_nu():
     # Cusp at p = 5: lct(x^2, y^3) = 5/6 caps nu(2) at 20, but fpt = 4/5.
     assert _term_ideal_lct(list(cusp(5).gens)) == Fraction(5, 6)
@@ -471,15 +503,19 @@ def test_nu_root_probe_counts(monkeypatch):
     assert nu(cusp(7), 4).nu == 2000
     assert calls == [(5, 1)]
     calls.clear()
-    # At p = 5 the bounds never meet (fpt = 4/5 < 5/6), so every level probes.
+    # At p = 5 the bounds never meet (fpt = 4/5 < 5/6).  After level 1 one
+    # probe at level 4 jumps to min(floor(624 * 5/6), 125 * 3 + (125 - 1)) = 499,
+    # which escapes, so levels 2 and 3 are never probed.
     assert nu(cusp(5), 4).nu == 499
-    assert calls == [(3, 1), (19, 2), (99, 3), (499, 4)]
+    assert calls == [(3, 1), (499, 4)]
     calls.clear()
     assert nu(cusp(13), 3).nu == 1830
     assert calls == [(10, 1)]
     calls.clear()
+    # The jump to floor(1330 lct(T)) = 1108 fails, and levels 2 and 3 are
+    # scanned, level 3 from below 1108.
     assert nu(ideal(["x^2 + y^3", "x*y^2 + x^3*y"], p=11), 3).nu == 1105
-    assert len(calls) == 7 and calls[0] == (8, 1)
+    assert calls == [(8, 1), (1108, 3), (100, 2), (99, 2), (1107, 3), (1106, 3), (1105, 3)]
 
 
 def test_nu_root_closed_form():
@@ -502,13 +538,16 @@ def _principal_curve(rng: random.Random, p: int) -> GFPoly:
 
 
 def test_nu_root_closed_form_matches_dp(monkeypatch):
-    """nu of principal binomials and trinomials equals nu_dp, and the level-e
-    window is skipped exactly when nu(l) = (p^l - 1) lct(T) at a level l < e."""
-    levels, fired = [], []
+    """nu of principal binomials and trinomials equals nu_dp.  Unless the
+    closed form answers at level 1, the probe after level 1 is the jump to
+    level e, which answers exactly when nu(e) is its value; otherwise the
+    closed form answers (the last probe lies below level e) exactly when
+    nu(l) = (p^l - 1) lct(T) at a level l < e."""
+    calls, fired = [], []
     escapes = frobenius._escapes
 
     def recorded(powers, r, level):
-        levels.append(level)
+        calls.append((r, level))
         return escapes(powers, r, level)
 
     monkeypatch.setattr(frobenius, "_escapes", recorded)
@@ -522,11 +561,22 @@ def test_nu_root_closed_form_matches_dp(monkeypatch):
         f = _principal_curve(rng, p)
         lct = _term_ideal_lct([f])
         expected = [nu_dp([f], p**level) for level in range(1, e + 1)]
-        levels.clear()
+        calls.clear()
         assert nu(Ideal([f], n=2, p=p), e).nu == expected[-1]
+        after = [c for c in calls if c[1] > 1]
+        assert calls[:len(calls) - len(after)] == [c for c in calls if c[1] == 1]
+        jumped = False
+        if expected[0] == (p - 1) * lct:
+            assert after == []
+        else:
+            jump = min(math.floor((p**e - 1) * lct), p**(e - 1) * expected[0] + p**(e - 1) - 1)
+            assert after[0] == (jump, e)
+            jumped = expected[-1] == jump
+            assert (len(after) == 1) == jumped
+            assert after.count((jump, e)) == 1
         meets = any(v == (p**level - 1) * lct for level, v in enumerate(expected[:-1], start=1))
-        assert (e not in levels) == meets
-        fired.append(meets)
+        assert (calls[-1][1] < e) == (meets and not jumped)
+        fired.append(meets and not jumped)
 
     check()
     assert any(fired)
@@ -657,16 +707,16 @@ def test_nu_split_bound_skips_unused_coordinates(gens, n, p, e, value):
 
 
 def test_fpt_point_certification():
-    assert fpt_point(cusp(7), 2) == Fraction(5, 6)
-    assert fpt_point(ideal(["x", "y"], p=3), 2) == 2
+    assert point(cusp(7), 2) == Fraction(5, 6)
+    assert point(ideal(["x", "y"], p=3), 2) == 2
     # fpt = 4/5 at p = 5 and 1/2 at p = 2 are the upper ends of the enclosures
     # [99/125, 4/5] and [7/16, 1/2], but nu/(q - 1) stays below them.
-    assert fpt_point(cusp(5), 3) is None
-    assert fpt_point(cusp(2), 4) is None
+    assert point(cusp(5), 3) is None
+    assert point(cusp(2), 4) is None
     # The enclosure at 2^2 is [1/4, 1/2] and its simplest point 1/2 is wrong:
     # at 2^4 the enclosure is [3/8, 7/16].  A point is only returned where the
     # proved bounds meet.
-    assert fpt_point(ideal(["x^3*y + x*y^4"], p=2), 2) is None
+    assert point(ideal(["x^3*y + x*y^4"], p=2), 2) is None
 
 
 def test_fpt_point_where_the_bounds_meet(monkeypatch):
@@ -678,12 +728,12 @@ def test_fpt_point_where_the_bounds_meet(monkeypatch):
     monkeypatch.setattr(frobenius, "test_ideal", no_tau)
     # The cusp at p = 1 (mod 6): nu(e) = (p^e - 1) 5/6 meets lct(x^2, y^3).
     for p, e in ((7, 1), (7, 3), (13, 2), (19, 1), (31, 2), (37, 1), (43, 1)):
-        assert fpt_point(cusp(p), e) == Fraction(5, 6), p
-    assert fpt_point(ideal(["x^2", "y^3"], p=7), 3) == Fraction(5, 6)
-    assert fpt_point(ideal(["x^3 + y^3 + z^3"], n=3, p=7), 3) == 1
+        assert point(cusp(p), e) == Fraction(5, 6), p
+    assert point(ideal(["x^2", "y^3"], p=7), 3) == Fraction(5, 6)
+    assert point(ideal(["x^3 + y^3 + z^3"], n=3, p=7), 3) == 1
     # At p = 5 (mod 6), fpt = 5/6 - 1/(6p): the bounds stay apart.
     for p in (5, 11):
-        assert fpt_point(cusp(p), 2) is None, p
+        assert point(cusp(p), 2) is None, p
 
 
 @given(st.integers(0, 10**6))

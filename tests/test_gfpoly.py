@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from fthresholds.errors import DomainError
 from fthresholds.exact import prime_power
 from fthresholds.frobenius import _root_step, frobenius_root
-from fthresholds.gfpoly import GFPoly, _divides, _lcm, _pack, _unpack, _width, drl_key
+from fthresholds.gfpoly import (GFPoly, _divides, _lcm, _pack, _unpack, _width, drl_key, echelonize,
+                                local_generators)
 from fthresholds.groebner import Ideal, normal_form
 from fthresholds.parsing import parse_gfpoly
 
@@ -251,3 +252,35 @@ def test_packed_lcm_and_divides_match_tuples(pair):
     assert _unpack(_lcm(ka, kb, n, w), n, w) == tuple(map(max, a, b))
     assert _divides(ka, kb, n, w) == all(x <= y for x, y in zip(a, b))
     assert _divides(ka, _lcm(ka, kb, n, w), n, w)
+
+
+def test_local_generators_example():
+    # The root J of the cusp's probe: (x, y) generate it at the origin.
+    rows = echelonize([gf(t) for t in ("x*y", "y^2", "x", "y")], 2, 7)
+    assert local_generators(rows, 7) == [gf("x"), gf("y")]
+    assert local_generators([], 7) == []
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_local_generators_lie_in_the_ideal_and_span_it_locally(seed):
+    """The kept rows are rows of the input, so they lie in its ideal; there
+    are no more of them; a row with a constant term is kept if any row has
+    one; and every row lies in the span of the kept rows and the shifts
+    x_i g, truncated to the box, which is what Nakayama's lemma asks."""
+    rng = random.Random(seed)
+    n, p = rng.randint(1, 3), rng.choice([2, 3, 5, 7])
+    box = rng.choice([1, 2, 3, p, p * p])
+    polys = [rand_gfpoly(rng, n, p, max_deg=4, max_terms=4).truncate(box)
+             for _ in range(rng.randint(1, 5))]
+    rows = echelonize(polys, n, p)
+    kept = local_generators(rows, box)
+    assert len(kept) <= len(rows)
+    ideal = Ideal(rows, n=n, p=p)
+    assert all(ideal.contains(g) for g in kept)
+    if any(g.constant_term() for g in rows):
+        assert any(g.constant_term() for g in kept)
+    shifts = [g.mul_term(tuple(int(j == i) for j in range(n)), 1).truncate(box)
+              for g in rows for i in range(n)]
+    rank = len(echelonize(shifts + kept, n, p))
+    assert len(echelonize(shifts + kept + rows, n, p)) == rank
