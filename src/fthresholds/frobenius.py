@@ -448,10 +448,16 @@ def _nu_split(f: GFPoly | None, points: list[tuple], n: int, p: int, e: int) -> 
     outside m^[q] iff some term x^c of f^i has c + mu <= q - 1 componentwise:
     multiplying by a monomial cancels nothing.  Those c are the terms of the
     truncated power T_i, so nu = max over i and c in T_i of i + nu_M(q - 1 - c).
-    Terms are scanned by ascending degree while i + (n(q-1) - |c|) // (least
-    degree of M), an upper bound for the rest of T_i, can beat the best.  For
-    M = m^d that bound is nu_M itself, so one solve per i suffices.  The same
-    bound on a lower bound for the degrees of T_i decides whether T_i is built.
+
+    Every generator of M has degree at least mdeg, the least degree of M, so
+    nu_M(b) <= |b| // mdeg.  A term c of T_i can therefore beat the best found
+    only if i + (n(q-1) - |c|) // mdeg > best, that is only if |c| <= D_i =
+    n(q-1) - mdeg (best + 1 - i).  Terms are scanned by ascending degree up to
+    D_i; for M = m^d the bound is nu_M itself, so one solve per i suffices.
+    The same D_i, taken when T_i is built, caps its degree in truncated_powers:
+    best only grows, so D_i only shrinks, and a term dropped then is past the
+    scan's D_i later.  The last level's powers are multiplied by nothing, so
+    dropping their terms of high degree cannot change nu.
     """
     qv = p**e
     packing = _MonomialPacking(points)
@@ -459,15 +465,13 @@ def _nu_split(f: GFPoly | None, points: list[tuple], n: int, p: int, e: int) -> 
     limit = n * (qv - 1)
     best = 0
 
-    def wanted(i: int, low: int) -> bool:
-        return i + (limit - low) // mdeg > best
+    def cap(i: int) -> int:
+        return limit - mdeg * (best + 1 - i)
 
-    powers = [GFPoly.one(n, p)] if f is None else truncated_powers(f, e, TERM_CAP, wanted)
+    powers = [GFPoly.one(n, p)] if f is None else truncated_powers(f, e, TERM_CAP, cap)
     for i, t in enumerate(powers):
-        if t is None:
-            continue
         for c in monomials_ascending(t):
-            if not wanted(i, sum(c)):
+            if sum(c) > cap(i):
                 break
             best = max(best, i + packing.solve(tuple(qv - 1 - x for x in c)))
     return best

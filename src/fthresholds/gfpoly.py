@@ -283,11 +283,6 @@ class GFPoly:
             return -1
         return max(self._terms) >> ((self.n - 1) * _width(self.n))
 
-    def min_degree(self) -> int:
-        if not self._terms:
-            return -1
-        return min(self._terms) >> ((self.n - 1) * _width(self.n))
-
     def lead_monomial(self) -> Monomial:
         if not self._terms:
             raise DomainError("zero polynomial has no lead monomial")
@@ -385,30 +380,59 @@ class GFPoly:
         _check_range(out, self.n, _width(self.n))
         return GFPoly(self.n, self.p, out)
 
-    def mul_truncated(self, other: "GFPoly", bound: int) -> "GFPoly":
-        """Product with every term having some exponent >= bound dropped.
+    def mul_truncated(self, other: "GFPoly", bound: int,
+                      max_degree: int | None = None) -> "GFPoly":
+        """Product with every term having some exponent >= bound dropped, and,
+        when max_degree is given, every term of total degree > max_degree too.
 
         Deletion happens inside the accumulation loop; sound because exponents
         only grow under multiplication, so a dropped term can never contribute
-        to a surviving one later.
+        to a surviving one later.  The degree bound gives no such guarantee: a
+        product truncated by degree is exact in the degrees it keeps, but it is
+        no truncated power to multiply again.
+
+        The top field of a key is its total degree, so a product key m1 + m2 is
+        within the degree bound iff it is below top = (max_degree + 1) << (n-1)w.
+        Then m1 is below top minus the least key of the other factor, and m2
+        likewise; each factor keeps only those keys, sorted ascending, and the
+        inner loop stops at the first product key past top.  Every pair whose
+        product is kept is still visited, so the kept coefficients are exact.
         """
         self._check_ambient(other)
-        n = self.n
+        n, p = self.n, self.p
         w = _width(n)
+        a, b = self._terms.items(), other._terms.items()
+        if max_degree is not None:
+            top = (max_degree + 1) << ((n - 1) * w)
+            # An empty factor leaves the loops empty whatever its least key.
+            low_a, low_b = min(self._terms, default=0), min(other._terms, default=0)
+            if low_a + low_b >= top:
+                return GFPoly.zero(n, p)
+            top_a, top_b = top - low_b, top - low_a
+            a = sorted([(m, c) for m, c in a if m < top_a])
+            b = sorted([(m, c) for m, c in b if m < top_b])
         fields, bias, guards = _box(bound, n, w)
-        p = self.p
         out: dict = {}
         get = out.get
-        b = other._terms.items()
-        for m1, c1 in self._terms.items():
-            for m2, c2 in b:
-                mm = m1 + m2
-                if (mm - ((mm << w) & fields) + bias) & guards:
-                    continue
-                out[mm] = (get(mm, 0) + c1 * c2) % p
+        if max_degree is None:
+            for m1, c1 in a:
+                for m2, c2 in b:
+                    mm = m1 + m2
+                    if (mm - ((mm << w) & fields) + bias) & guards:
+                        continue
+                    out[mm] = (get(mm, 0) + c1 * c2) % p
+        else:
+            for m1, c1 in a:
+                for m2, c2 in b:
+                    mm = m1 + m2
+                    if mm >= top:
+                        break
+                    if (mm - ((mm << w) & fields) + bias) & guards:
+                        continue
+                    out[mm] = (get(mm, 0) + c1 * c2) % p
         _drop_zeros(out)
         _check_range(out, n, w)
-        return GFPoly(n, self.p, out)
+        return GFPoly(n, p, out)
 
     def pow(self, r: int) -> "GFPoly":
         if r < 0:
@@ -626,23 +650,29 @@ def local_generators(rows: list[GFPoly], box: int) -> list[GFPoly]:
 
 
 def truncated_powers(f: GFPoly, e: int, term_cap: int,
-                     wanted: Callable[[int, int], bool]) -> Iterator[GFPoly | None]:
-    """T_0, T_1, ..., T_K: T_k is f^k with every term having some exponent
-    >= p^e dropped, and T_K the last nonzero one.  f must vanish at the origin
-    and e be at least 1.
+                     cap: Callable[[int], int]) -> Iterator[GFPoly]:
+    """T_0, T_1, ...: T_k is f^k with every term having some exponent >= p^e
+    dropped, and, when p does not divide k, every term of total degree
+    > cap(k) too.  f must vanish at the origin and e be at least 1.
 
-    f^k lies outside m^[p^e] iff T_k is nonzero; that holds for a prefix of k,
-    and only for k < p^e since f^p = f^[p] lies in m^[p].  The powers are built
-    one level L = 1..e at a time by the Frobenius split f^(a + p b) = f^a (f^b)^[p]
-    with 0 <= a < p: T_(a + p b) at level L is trunc_(p^L)(f^a * T_b^[p]) for T_b
-    of level L - 1.  That is exact: a term of (f^b)^[p] leaves the box p^L iff
-    its term of f^b leaves the box p^(L-1), and products only raise exponents.
-    The levels below e are built in full; level e is yielded as it is built.
+    f^k lies outside m^[p^e] iff its truncation to the box is nonzero; that
+    holds for a prefix of k, and only for k < p^e since f^p = f^[p] lies in
+    m^[p].  The powers are built one level L = 1..e at a time by the Frobenius
+    split f^(a + p b) = f^a (f^b)^[p] with 0 <= a < p: T_(a + p b) at level L
+    is trunc_(p^L)(f^a * T_b^[p]) for T_b of level L - 1.  That is exact: a
+    term of (f^b)^[p] leaves the box p^L iff its term of f^b leaves the box
+    p^(L-1), and products only raise exponents.
 
-    A product T_k of level e is built only if wanted(k, low) is true, where
-    low is a lower bound for the total degree of its terms; None is yielded in
-    its place otherwise.  Raises CapacityError when some T_k has more than
-    term_cap terms.
+    The levels below e are built in full, because their powers are multiplied
+    again, and end at their first zero.  Level e is yielded as it is built,
+    and its powers are leaves: nothing multiplies them again, so dropping
+    terms of high degree there loses nothing but those terms.  cap(k) is asked
+    just before T_k, p not dividing k, is built, so it may depend on what the
+    caller read of T_0..T_(k-1).  T_(p b) = T_b^[p] needs no product and is
+    yielded whole.  A power truncated by degree may be zero while later ones
+    are not, so level e runs to the end of the level below it: at most
+    K + p powers when T_K is the last nonzero truncation to the box.  Raises
+    CapacityError when some T_k has more than term_cap terms.
     """
     if not f.vanishes_at_origin():
         raise DomainError("truncated powers need f to vanish at the origin")
@@ -655,28 +685,36 @@ def truncated_powers(f: GFPoly, e: int, term_cap: int,
     level = [one]
     for L in range(1, e):
         level = list(_split_level(level, small, p**L, term_cap, None))
-    return _split_level(level, small, qv, term_cap, wanted)
+    return _split_level(level, small, qv, term_cap, cap)
 
 
 def _split_level(level: list[GFPoly], small: list[GFPoly], bound: int, term_cap: int,
-                 wanted: Callable[[int, int], bool] | None) -> Iterator[GFPoly | None]:
-    """T_0, T_1, ... in the box `bound` from the T_b in the box bound / p, up to
-    the first zero; small[a] is f^a, possibly truncated above `bound`."""
+                 cap: Callable[[int], int] | None) -> Iterator[GFPoly]:
+    """T_0, T_1, ... in the box `bound` from the T_b in the box bound / p;
+    small[a] is f^a, possibly truncated above `bound`.
+
+    Without cap the powers are exact and end at the first zero: f^k in
+    m^[bound] puts every higher power there too.  With cap, each product T_k
+    also drops its terms of total degree > cap(k).  That removes whole terms
+    and changes no kept coefficient, so it is sound only for powers that are
+    read and never multiplied again: the last level.  A zero product then
+    proves nothing about the next, so the level runs through every T_b given,
+    and ends early only when some factor f^a itself leaves the box.
+    """
     p = len(small)
     factors = [s.truncate(bound) for s in small[1:]]
     for b, t in enumerate(level):
         lifted = t.frobenius_power(p)  # already inside the box
         yield lifted
-        low = p * t.min_degree()
         for a, fa in enumerate(factors, start=1):
             if fa.is_zero:
                 return
-            if wanted is not None and not wanted(a + p * b, low + fa.min_degree()):
-                yield None
-                continue
-            prod = fa.mul_truncated(lifted, bound)
-            if prod.is_zero:
-                return
+            if cap is None:
+                prod = fa.mul_truncated(lifted, bound)
+                if prod.is_zero:
+                    return
+            else:
+                prod = fa.mul_truncated(lifted, bound, cap(a + p * b))
             if len(prod._terms) > term_cap:
                 raise CapacityError(f"term cap of {term_cap} exceeded in a truncated power")
             yield prod

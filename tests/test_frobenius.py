@@ -646,33 +646,38 @@ def test_truncated_powers_match_repeated_products(seed):
     while not t.is_zero:
         chain.append(t)
         t = t.mul_truncated(f, qv)
-    assert list(truncated_powers(f, e, 10**6, lambda k, low: True)) == chain
-    # Skipped products come back as None; the degree bound holds for the others.
-    skip = {k for k in range(len(chain)) if rng.random() < 0.5}
-    asked = {}
+    # A cap no term of the box exceeds keeps the chain whole; the last level
+    # runs to the end of the level below it, so zeros may follow the chain.
+    got = list(truncated_powers(f, e, 10**6, lambda k: n * (qv - 1)))
+    assert got[:len(chain)] == chain
+    assert len(got) < len(chain) + p
+    assert all(t.is_zero for t in got[len(chain):])
+    # Random caps: each product T_k is the chain's power with the terms of
+    # degree > cap(k) dropped; T_(p b) needs no product and comes back whole.
+    caps = {}
 
-    def wanted(k, low):
-        asked[k] = low
-        return k not in skip
+    def cap(k):
+        assert k % p and k not in caps
+        caps[k] = rng.randint(-1, n * (qv - 1))
+        return caps[k]
 
-    got = list(truncated_powers(f, e, 10**6, wanted))
-    assert len(got) <= len(chain) + p
+    got = list(truncated_powers(f, e, 10**6, cap))
+    assert len(got) < len(chain) + p
     for k, t in enumerate(got):
-        if k >= len(chain):
-            assert t is None
-        elif k in asked and k in skip:
-            assert t is None
-        else:
-            assert t == chain[k]
-        if k in asked and k < len(chain):
-            assert asked[k] <= chain[k].min_degree()
+        want = chain[k] if k < len(chain) else GFPoly.zero(n, p)
+        if k % p:
+            want = GFPoly.make(n, p, [(m, c) for m, c in want.terms.items()
+                                      if sum(m) <= caps[k]])
+        assert t == want
 
 
 def test_nu_split_capacity(monkeypatch):
     m5 = truncate_ideal(cusp(7), 5)
+    # At 7^2 every power is built at the last level, where the degree cap
+    # leaves fewer than 3 terms; at 7^3 the uncapped level below exceeds 3.
     monkeypatch.setattr(frobenius, "TERM_CAP", 3)
     with pytest.raises(CapacityError, match="term cap"):
-        nu(m5, 2)
+        nu(m5, 3)
     monkeypatch.undo()
     monkeypatch.setattr(frobenius, "NODE_CAP", 100)
     with pytest.raises(CapacityError, match="node cap"):
@@ -692,6 +697,15 @@ def test_nu_split_degree_cut(monkeypatch):
     # The diagonal closed form sum (q-1) // a_i at q = 7^5, within the default
     # node cap.
     assert nu(ideal(["x^3", "y^4", "z^5"], n=3, p=7), 5).nu == 5602 + 4201 + 3361
+    # The last level's powers keep only the degrees that can still raise nu;
+    # a cap one below that bound loses nu by one on each of these.
+    for gens, p, e, value in [
+        (["x^2 + y^3", "x^3", "x^2*y", "x*y^2", "y^3"], 5, 6, 13020),
+        (["x^3 + y^2 + x*y", "x^2*y"], 11, 2, 120),
+        (["x^2 + y^3", "x^2*y^2"], 7, 3, 285),
+    ]:
+        I = ideal(gens, n=2, p=p)
+        assert nu(I, e).nu == frobenius._nu_root(list(I.gens), e) == value
 
 
 @pytest.mark.parametrize("gens, n, p, e, value", [

@@ -189,6 +189,10 @@ def test_products_match_tuple_reference(seed):
     bound = rng.choice([2, p, p**2, 2**31, 3**21])
     assert (outcome(lambda: as_dict(f.mul_truncated(g, bound)))
             == outcome(lambda: ref_mul_truncated(F, G, bound, p)))
+    if not wide:
+        cap = rng.randint(-1, max(map(sum, F), default=0) + max(map(sum, G), default=0))
+        assert as_dict(f.mul_truncated(g, bound, cap)) == {
+            m: c for m, c in ref_mul_truncated(F, G, bound, p).items() if sum(m) <= cap}
     assert as_dict(f.truncate(bound)) == ref_truncate(F, bound)
     mono = next(iter(G))
     c = rng.randint(1, p - 1)
