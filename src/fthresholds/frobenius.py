@@ -399,23 +399,38 @@ class _MonomialPacking:
     """nu_M(b): the most generators of a monomial ideal M, counted with
     repetition, whose exponent sum v satisfies v <= b componentwise.
 
-    Branch-and-bound over the generator counts, generators taken by ascending
-    degree, counts from the largest down.  A child is cut before it is visited
-    when its count plus the rest of the degree budget over the least remaining
-    degree cannot beat the best found; the budget sums b_i only over the
-    coordinates i that some generator uses.  No bound exceeds the root bound
-    (that sum) // (least degree), so a solve ends as soon as the best reaches
-    it.  The generators are prepared once; NODE_CAP bounds all solves' nodes.
+    Closed form.  Let U be the coordinates that some generator uses and d the
+    least degree of M.  When every monomial of degree d in the variables U is
+    a generator (C(d + |U| - 1, d) of them), M is full, and
+
+        nu_M(b) = floor(sum_(i in U) b_i / d).
+
+    At most: each generator has degree >= d and lives in U, so it takes at
+    least d from that sum.  At least: with s the right side, pick v <= b on U
+    with |v| = s d; peeling off monomials of degree d, v is a product of s
+    monomials of degree d in U, each a generator.  A full M is solved with
+    no node spent; M = m^d is full.
+
+    Every other M: branch-and-bound over the generator counts, generators
+    taken by ascending degree, counts from the largest down.  A child is cut
+    before it is visited when its count plus the rest of the degree budget
+    over the least remaining degree cannot beat the best found; the budget
+    sums b_i only over U.  No bound exceeds the root bound (that sum) // d, so
+    a solve ends as soon as the best reaches it.  The generators are prepared
+    once; NODE_CAP bounds all solves' nodes.
     """
 
     def __init__(self, points: list[tuple]):
         self.gens = sorted(set(points), key=lambda m: (sum(m), drl_key(m)))
         self.degs = [sum(m) for m in self.gens]
-        self.min_degree = self.degs[0]
+        self.min_degree = d = self.degs[0]
         self.used = [i for i, column in enumerate(zip(*self.gens)) if any(column)]
+        self.full = self.degs.count(d) == math.comb(d + len(self.used) - 1, d)
         self.nodes = 0
 
     def solve(self, budget: tuple) -> int:
+        if self.full:
+            return sum(budget[i] for i in self.used) // self.min_degree
         gens, degs = self.gens, self.degs
         last = len(gens) - 1
         best = 0
@@ -453,7 +468,9 @@ def _nu_split(f: GFPoly | None, points: list[tuple], n: int, p: int, e: int) -> 
     nu_M(b) <= |b| // mdeg.  A term c of T_i can therefore beat the best found
     only if i + (n(q-1) - |c|) // mdeg > best, that is only if |c| <= D_i =
     n(q-1) - mdeg (best + 1 - i).  Terms are scanned by ascending degree up to
-    D_i; for M = m^d the bound is nu_M itself, so one solve per i suffices.
+    D_i.  For a full M that uses every coordinate, as m^d, the bound is nu_M
+    itself (the closed form of _MonomialPacking): the first term of T_i read
+    raises best to its bound, and D_i falls below that term's degree.
     The same D_i, taken when T_i is built, caps its degree in truncated_powers:
     best only grows, so D_i only shrinks, and a term dropped then is past the
     scan's D_i later.  The last level's powers are multiplied by nothing, so
@@ -480,17 +497,22 @@ def _nu_split(f: GFPoly | None, points: list[tuple], n: int, p: int, e: int) -> 
 def nu(a: Ideal, e: int) -> NuValue:
     """The largest r with a^r not contained in m^[p^e] (convention: 0 for a = (0)).
 
-    Requires every generator to vanish at the origin.  Two exact routes:
+    Requires every generator to vanish at the origin.  When some generators
+    are monomials, each other generator is first replaced by its remainder on
+    them, which drops every term divisible by one of them: g - c x^m and
+    c x^m both lie in a, so the ideal, hence nu, is unchanged.  A generator
+    left a monomial joins them and one left zero goes.  Then two exact routes:
 
       * at most one generator that is not a monomial, and at least one
         monomial: the Frobenius-split route (_nu_split) for (f) + M, truncated
-        powers of f against a branch-and-bound over the monomials M; TERM_CAP
-        bounds each power, NODE_CAP the search;
+        powers of f against nu_M, read in closed form when M holds every
+        monomial of its least degree and otherwise by a branch-and-bound over
+        the monomials M; TERM_CAP bounds each power, NODE_CAP the search;
       * every other ideal: the digit root (_nu_root), over a table of a^t
         modulo m^[p^e], t <= k(p-1), whose entries are built on first read
         and whose terms are capped by POWER_TABLE_CAP.  Level 1 scans the
         window [0, k(p-1)] from the top, capped by floor((p - 1) lct) for the
-        lct of the term ideal.  A principal ideal stops at the first level
+        lct of the term ideal T.  A principal ideal stops at the first level
         where nu meets that cap, with the closed form ceil(lct p^e) - 1.
         Otherwise one probe at level e tries the least proved upper bound
         for nu(e) and answers when it escapes; when it does not, each level
@@ -498,7 +520,9 @@ def nu(a: Ideal, e: int) -> NuValue:
         probe is decided at the origin (_escapes): products truncated to the
         box that still matters, local generators between root steps, and a
         box test at the last step.  The _nu_root docstring proves the bounds,
-        nu(l)/(p^l - 1) <= fpt <= lct, and the jump.
+        nu(l)/(p^l - 1) <= fpt <= lct, and the jump, for any generators
+        of a, so for the reduced ones too: their term ideal lies in T and
+        still contains a.
     """
     q = prime_power(a.p, e)
     for g in a.gens:
@@ -506,13 +530,18 @@ def nu(a: Ideal, e: int) -> NuValue:
             raise DomainError("nu requires generators vanishing at the origin")
     if a.is_zero:
         return NuValue(q, 0)
-    monos = [g.lead_monomial() for g in a.gens if g.is_monomial()]
-    others = [g for g in a.gens if not g.is_monomial()]
+    gens = list(a.gens)
+    mono_gens = [g for g in gens if g.is_monomial()]
+    if mono_gens:
+        reduced = (g if g.is_monomial() else g.remainder(mono_gens) for g in gens)
+        gens = [g for g in reduced if not g.is_zero]
+    monos = [g.lead_monomial() for g in gens if g.is_monomial()]
+    others = [g for g in gens if not g.is_monomial()]
     if monos and len(others) <= 1:
         f = others[0] if others else None
         value = _nu_split(f, monos, a.n, a.p, e)
     else:
-        value = _nu_root(list(a.gens), e)
+        value = _nu_root(gens, e)
     return NuValue(q, value)
 
 

@@ -6,8 +6,14 @@ terms that no later factor can bring back), ideal powers are expanded as
 explicit products, binomial survival is decided digit by digit with
 Lucas' theorem, Groebner bases come from Buchberger's loop over every pair
 (buchberger_all_pairs), Newton-polytope orders are solved as one exact LP
-each (order_lp) instead of read off the facet normals, and a nu probe keeps
-the full echelon of every level's root (escapes_oracle).
+each (order_lp) instead of read off the facet normals, a nu probe keeps
+the full echelon of every level's root (escapes_oracle), and nu_M(b) of a
+monomial ideal is a search over every generator that fits (packing_oracle).
+
+Hypothesis runs under a derandomized profile: each test draws the same
+examples on every run (seeded from the test itself), so the suite's time and
+its verdicts repeat.  The per-test settings change only max_examples and
+deadline.
 """
 
 import heapq
@@ -16,8 +22,11 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Sequence
+
+from hypothesis import settings
 
 from fthresholds.errors import DomainError
 from fthresholds.gfpoly import GFPoly, echelonize, monomial_divides, s_polynomial
@@ -28,6 +37,9 @@ from fthresholds.newton import NewtonPolytope
 # `python -m fthresholds` in a subprocess need it on PYTHONPATH as well.
 SRC = Path(__file__).resolve().parent.parent / "src"
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+
+settings.register_profile("repeatable", derandomize=True)
+settings.load_profile("repeatable")
 
 
 def rand_gfpoly(rng: random.Random, n: int, p: int, max_deg: int, max_terms: int,
@@ -96,6 +108,19 @@ def nu_dp(gens: list[GFPoly], qv: int) -> int:
         level = {prod for u in level for g in truncated
                  if not (prod := u.mul_truncated(g, qv)).is_zero}
     return r
+
+
+def packing_oracle(points: list[tuple], budget: tuple) -> int:
+    """nu_M(b): the most monomials of `points`, with repetition, whose exponent
+    sum is at most b componentwise, by trying every point that fits at every
+    step (memoized on the budget left)."""
+
+    @cache
+    def most(b: tuple) -> int:
+        return max((1 + most(tuple(x - y for x, y in zip(b, m))) for m in points
+                    if all(y <= x for x, y in zip(b, m))), default=0)
+
+    return most(tuple(budget))
 
 
 def eager_powers(gens: list[GFPoly]) -> list[list[GFPoly]]:

@@ -214,6 +214,28 @@ def test_truncation_bound_violation_exits_3(monkeypatch, capsys):
     assert [r["ok"] for r in payload["records"]] == [True, False]
 
 
+def test_truncation_output_bytes(capsys):
+    # The exact bytes of the small truncation run of the CI workflow.  The
+    # truncated ideals (x^2 + y^3) + m^d have d + 2 generators, so trunc_high
+    # is (nu + d + 2)/q in lowest terms.
+    code, out = run(capsys, "truncation", "--gens", "x^2 + y^3", "-n", "2",
+                    "--primes", "7,13", "--qmax", "10000")
+    assert code == EXIT_OK
+    rows = []
+    for p, e, low, high, truncs in [
+        (7, 4, "2000/2401", "2001/2401",
+         ["2005/2401", "2006/2401", "2007/2401", "2008/2401", "41/49", "2010/2401"]),
+        (13, 3, "1830/2197", "1831/2197",
+         ["1835/2197", "1836/2197", "1837/2197", "1838/2197", "1839/2197", "1840/2197"]),
+    ]:
+        for d, (trunc, bound) in enumerate(zip(truncs, ["2/3", "1/2", "2/5", "1/3", "2/7", "1/4"]),
+                                           start=3):
+            rows.append(f'{{"p": {p}, "e": {e}, "d": {d}, "base_low": "{low}", '
+                        f'"base_high": "{high}", "trunc_low": "{low}", "trunc_high": "{trunc}", '
+                        f'"gap": "0/1", "bound": "{bound}", "ok": true}}')
+    assert out == '{"records": [' + ", ".join(rows) + '], "all_ok": true}\n'
+
+
 def test_parse_print_parse_roundtrip(capsys):
     # the froot output is in the same grammar the commands accept
     code, out = run(capsys, "froot", "--gens", "x^7+y^7", "-n", "2", "-p", "7", "-e", "1")

@@ -1,5 +1,6 @@
 """Bracket powers, Frobenius roots, nu, enclosures, and test ideals."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -36,6 +37,7 @@ from conftest import (
     nu_bruteforce,
     nu_dp,
     order_lp,
+    packing_oracle,
     rand_gfpoly,
     rand_homogeneous,
 )
@@ -368,6 +370,59 @@ def test_nu_split_matches_dp(seed):
     assert nu(I, e).nu == nu_dp(list(I.gens), I.p**e)
 
 
+@given(st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_monomial_packing_closed_form(seed):
+    """nu_M(b) against a search over every generator that fits, for M holding
+    all or some of the monomials of degree d in the variables U, plus larger
+    generators, mostly in U.  M is full iff it holds every monomial of its
+    least degree in the coordinates its generators use; then no node is spent."""
+    rng = random.Random(seed)
+    n, d = rng.randint(1, 3), rng.randint(1, 3)
+    U = rng.sample(range(n), rng.randint(1, n))
+    least = [m for m in itertools.product(range(d + 1), repeat=n)
+             if sum(m) == d and all(m[i] == 0 for i in range(n) if i not in U)]
+    points = least if rng.random() < 0.5 else rng.sample(least, rng.randint(1, len(least)))
+    for _ in range(rng.randint(0, 2)):
+        coords = U if rng.random() < 0.75 else range(n)
+        extra = [0] * n
+        for _ in range(d + rng.randint(1, 3)):
+            extra[rng.choice(list(coords))] += 1
+        points = points + [tuple(extra)]
+    used = [i for i in range(n) if any(m[i] for m in points)]
+    full = all(m in points for m in itertools.product(range(d + 1), repeat=n)
+               if sum(m) == d and all(m[i] == 0 for i in range(n) if i not in used))
+    packing = frobenius._MonomialPacking(points)
+    assert packing.full == full
+    for _ in range(4):
+        budget = tuple(rng.randint(0, 9) for _ in range(n))
+        assert packing.solve(budget) == packing_oracle(points, budget), (points, budget)
+    assert full == (packing.nodes == 0)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_nu_reduces_modulo_monomial_generators(seed):
+    """nu of monomials M plus one or two generators with terms in M equals
+    nu_dp of the generators as given: dropping those terms keeps the ideal,
+    also where a generator is left a monomial or zero."""
+    rng = random.Random(seed)
+    n = rng.choice([2, 3])
+    p = rng.choice([2, 3, 5])
+    e = rng.choice([e for e in (1, 2, 3) if p**e <= (27 if n == 2 else 9)])
+    pts = {tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(1, 3))}
+    pts = [m for m in sorted(pts) if sum(m) > 0] or [(1,) * n]
+    gens = [GFPoly.from_monomial(m, n, p, rng.randint(1, p - 1)) for m in pts]
+    for _ in range(rng.randint(1, 2)):
+        g = rand_gfpoly(rng, n, p, max_deg=3, max_terms=2, vanish=True)
+        for _ in range(rng.randint(1, 3)):
+            m = tuple(x + rng.randint(0, 1) for x in rng.choice(pts))
+            g = g + GFPoly.from_monomial(m, n, p, rng.randint(1, p - 1))
+        gens.append(g)
+    I = Ideal(gens, n=n, p=p)
+    assert nu(I, e).nu == nu_dp(list(I.gens), p**e), (I.gens, e)
+
+
 def _rand_root_ideal(rng: random.Random) -> Ideal:
     """Two or three generators that are not monomials, all vanishing at 0,
     and in half the cases one monomial more; k generators in all, with
@@ -682,25 +737,36 @@ def test_nu_split_capacity(monkeypatch):
     monkeypatch.setattr(frobenius, "NODE_CAP", 100)
     with pytest.raises(CapacityError, match="node cap"):
         nu(ideal(["x^3", "y^4", "z^5"], n=3, p=7), 4)
-    # One node count covers all the solves of a call; each solve here needs
-    # at most six nodes.
+    # One node count covers all the solves of a call.  m^5 is full and spends
+    # no node, so this M has only two of the five monomials of degree 4.
     with pytest.raises(CapacityError, match="node cap"):
-        nu(m5, 4)
+        nu(ideal(["x^2 + y^3", "x^3*y", "x*y^3"], p=7), 4)
 
 
 def test_nu_split_degree_cut(monkeypatch):
-    # For (f) + m^d the degree bound is exact, so each truncated power costs
-    # one solve of at most d + 1 nodes: at most 2001 powers times 6 nodes here.
-    monkeypatch.setattr(frobenius, "NODE_CAP", 2001 * 6)
+    # m^5 is full, so nu_M is read in closed form: no truncated power spends
+    # a node of the search.
+    monkeypatch.setattr(frobenius, "NODE_CAP", 0)
     assert nu(truncate_ideal(cusp(7), 5), 4).nu == 2000
     monkeypatch.undo()
     # The diagonal closed form sum (q-1) // a_i at q = 7^5, within the default
     # node cap.
     assert nu(ideal(["x^3", "y^4", "z^5"], n=3, p=7), 5).nu == 5602 + 4201 + 3361
+    # y^3 lies in m^3, so (x^2 + y^3) + m^3 = (x^2) + m^3, a monomial ideal.
+    I = ideal(["x^2 + y^3", "x^3", "x^2*y", "x*y^2", "y^3"], n=2, p=5)
+    assert nu(I, 6).nu == frobenius._nu_root(list(I.gens), 6) == 13020
+    # From here on f keeps two terms below the least degree of M, so the
+    # split route runs with f.  (x^2 + y^3) + m^4 is also (x^2 + y^3, x*y^3,
+    # y^4), a shorter input for the digit root: x^2 y^2 = y^2 f - y^5,
+    # x^3 y = x y f - x y^4 and x^4 = x^2 f - y x^2 y^2.
+    for p, e, value in [(5, 6, 12889), (7, 3, 285)]:
+        I = truncate_ideal(cusp(p), 4)
+        shorter = ideal(["x^2 + y^3", "x*y^3", "y^4"], n=2, p=p)
+        assert nu(I, e).nu == frobenius._nu_root(list(shorter.gens), e) == value
     # The last level's powers keep only the degrees that can still raise nu;
-    # a cap one below that bound loses nu by one on each of these.
+    # a cap one below that bound loses nu by one at 7^3 above and on each of
+    # these.
     for gens, p, e, value in [
-        (["x^2 + y^3", "x^3", "x^2*y", "x*y^2", "y^3"], 5, 6, 13020),
         (["x^3 + y^2 + x*y", "x^2*y"], 11, 2, 120),
         (["x^2 + y^3", "x^2*y^2"], 7, 3, 285),
     ]:
