@@ -497,11 +497,14 @@ def _nu_split(f: GFPoly | None, points: list[tuple], n: int, p: int, e: int) -> 
 def nu(a: Ideal, e: int) -> NuValue:
     """The largest r with a^r not contained in m^[p^e] (convention: 0 for a = (0)).
 
-    Requires every generator to vanish at the origin.  When some generators
-    are monomials, each other generator is first replaced by its remainder on
-    them, which drops every term divisible by one of them: g - c x^m and
-    c x^m both lie in a, so the ideal, hence nu, is unchanged.  A generator
-    left a monomial joins them and one left zero goes.  Then two exact routes:
+    Requires every generator to vanish at the origin.  The route is chosen
+    on the generators as given, so the reduction below never moves an ideal
+    from the digit root to the split route's search, which can meet NODE_CAP
+    where the digit root answers.  When some generators are monomials, each
+    other generator is then replaced by its remainder on them, which drops
+    every term divisible by one of them: g - c x^m and c x^m both lie in a,
+    so the ideal, hence nu, is unchanged.  A generator left a monomial joins
+    them and one left zero goes.  The two exact routes:
 
       * at most one generator that is not a monomial, and at least one
         monomial: the Frobenius-split route (_nu_split) for (f) + M, truncated
@@ -532,13 +535,14 @@ def nu(a: Ideal, e: int) -> NuValue:
         return NuValue(q, 0)
     gens = list(a.gens)
     mono_gens = [g for g in gens if g.is_monomial()]
+    split = mono_gens and len(gens) - len(mono_gens) <= 1
     if mono_gens:
         reduced = (g if g.is_monomial() else g.remainder(mono_gens) for g in gens)
         gens = [g for g in reduced if not g.is_zero]
-    monos = [g.lead_monomial() for g in gens if g.is_monomial()]
-    others = [g for g in gens if not g.is_monomial()]
-    if monos and len(others) <= 1:
+    if split:
+        others = [g for g in gens if not g.is_monomial()]
         f = others[0] if others else None
+        monos = [g.lead_monomial() for g in gens if g.is_monomial()]
         value = _nu_split(f, monos, a.n, a.p, e)
     else:
         value = _nu_root(gens, e)

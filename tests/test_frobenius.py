@@ -423,6 +423,20 @@ def test_nu_reduces_modulo_monomial_generators(seed):
     assert nu(I, e).nu == nu_dp(list(I.gens), p**e), (I.gens, e)
 
 
+def test_nu_routes_on_given_generators(monkeypatch):
+    """Two generators that are not monomials go to the digit root even when
+    the reduction leaves one: x*y^3 + y^4 reduces to x*y^3 modulo y^4, and
+    the split route's search on M = {x*y^3, y^4}, which is not full, meets
+    NODE_CAP where the digit root answers."""
+    I = ideal(["x^2 + y^3", "x*y^3 + y^4", "y^4"], n=2, p=5)
+
+    def no_split(*args):
+        raise AssertionError("split route taken")
+
+    monkeypatch.setattr(frobenius, "_nu_split", no_split)
+    assert nu(I, 6).nu == 12889
+
+
 def _rand_root_ideal(rng: random.Random) -> Ideal:
     """Two or three generators that are not monomials, all vanishing at 0,
     and in half the cases one monomial more; k generators in all, with
