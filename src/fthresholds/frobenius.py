@@ -314,7 +314,8 @@ def _term_lct(gens: list[GFPoly]) -> Fraction:
     """lct(T) for the term ideal T of `gens`, an upper bound for fpt (the
     _nu_root docstring defines T and proves the bound)."""
     points = [m for g in gens for m in g.terms]
-    return min(sum(w) for w in NewtonPolytope.from_points(points, gens[0].n).vertices)
+    W, L = NewtonPolytope.from_points(points, gens[0].n).facets
+    return Fraction(min(sum(w) for w in W), L)
 
 
 def _nu_root(gens: list[GFPoly], e: int) -> int:
@@ -337,7 +338,8 @@ def _nu_root(gens: list[GFPoly], e: int) -> int:
     Upper bound.  Let T be the term ideal, generated by every term of every
     generator, and lct = min <w, 1> over the vertices w of
     Q = {w >= 0 : <w, a_j> >= 1 for every exponent a_j}, the lct of T
-    (Howald 2001).  a lies in T, so fpt(a) <= fpt(T) = lct (Hara-Yoshida
+    (Howald 2001), read as min_k <W_k, 1> / L over the integer rows (W, L) of
+    NewtonPolytope.facets.  a lies in T, so fpt(a) <= fpt(T) = lct (Hara-Yoshida
     2003, Theorem 4.8).  Level by level, if a^r escapes m^[q], so does T^r,
     so some r terms have an exponent sum v <= (q-1) 1, and for every w in Q
 

@@ -32,9 +32,20 @@ common tight set Z has at least n - 1 members (dim C - 2) and no other ray's
 tight set contains Z.  The new ray is tight on Z and h; a kept ray on h = 0
 gains h.
 
+Q is kept in integers as (W, L): L is the lcm of the rays' s, and each ray
+(w, s) with s > 0 gives the row W_k = (L / s) w, so the vertices are W_k / L
+and, for an integer vector v,
+
+    ord_P(v) = min_k <W_k, v> / L.
+
+Every box scan below is integer dot products and compares; a Fraction is made
+only for a value that is returned.
+
 The log canonical threshold of the ideal is ord_P(1,...,1), and membership of
 x^u in the multiplier ideal at exponent lambda is the strict inequality
-ord_P(u + 1) > lambda.
+ord_P(u + 1) > lambda, that is min_k <W_k, u + 1> > lambda L.  The jumping
+numbers up to a bound are the values ord_P(u + 1) in (0, bound].  Both scan a
+box of exponents, and BOX_CAP bounds the box a scan may cover.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ from fractions import Fraction
 from functools import cached_property, total_ordering
 from typing import Iterable, Sequence
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .gfpoly import Monomial
 from .groebner import MonomialIdeal, minimize_points
 
@@ -69,6 +80,13 @@ class _Infinity:
 
 
 INFINITY = _Infinity()
+
+# Largest box {0..cap}^n of exponents that a scan may cover.  Jumping numbers
+# visit every point of it.  A multiplier ideal visits only its (cap+1)^(n-1)
+# prefixes, but MonomialIdeal then tests each found point against the
+# generators kept so far, which is quadratic in the prefixes; the whole box
+# bounds that work too (for n = 2 it is the square of the prefixes).
+BOX_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -97,8 +115,9 @@ class NewtonPolytope:
         return not self.points
 
     @cached_property
-    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The vertices of Q = {w >= 0 : <w, a_j> >= 1}, by double description."""
+    def facets(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(W, L): the vertices of Q = {w >= 0 : <w, a_j> >= 1} are W_k / L,
+        with integer rows W_k and L the lcm of the rays' s; by double description."""
         # A ray of C is (integer (w, s), bitmask of its tight constraints): bit
         # i < d for coordinate i of (w, s) being 0, bit d + j for <a_j, w> = s.
         d = self.n + 1
@@ -121,16 +140,24 @@ class NewtonPolytope:
                 new.append((tuple(x // g for x in r), z | bit))
             rays = [(r, t | bit if dot == 0 else t)
                     for (r, t), dot in zip(rays, dots) if dot >= 0] + new
-        return tuple(tuple(Fraction(x, r[-1]) for x in r[:-1]) for r, _ in rays if r[-1])
+        rays = [r for r, _ in rays if r[-1]]
+        L = math.lcm(*(r[-1] for r in rays))
+        return tuple(tuple(x * (L // r[-1]) for x in r[:-1]) for r in rays), L
 
 
-def _order(vertices, v):
-    """min_k <w_k, v>, or INFINITY when Q has no vertex."""
-    return min((sum(x * y for x, y in zip(w, v)) for w in vertices), default=INFINITY)
+def _check_box(side: int, dims: int, what: str) -> None:
+    """CapacityError before a scan of the box {0..side-1}^dims when it has more
+    than BOX_CAP points."""
+    if side ** dims > BOX_CAP:
+        raise CapacityError(f"box cap of {BOX_CAP} points exceeded: {what} would cover "
+                            f"the box {{0..{side - 1}}}^{dims}")
 
 
 def newton_order(P: NewtonPolytope, v: Sequence[Fraction]):
-    """ord_P(v) = max{t >= 0 : v in t*P}; INFINITY when 0 is a polytope point."""
+    """ord_P(v) = max{t >= 0 : v in t*P}; INFINITY when 0 is a polytope point.
+
+    v is put over one denominator D as v = a / D with a integer, so that
+    ord_P(v) = min_k <W_k, a> / (L D)."""
     if P.is_empty:
         raise DomainError("empty Newton polytope")
     if len(v) != P.n:
@@ -138,7 +165,12 @@ def newton_order(P: NewtonPolytope, v: Sequence[Fraction]):
     v = [Fraction(x) for x in v]
     if any(x <= 0 for x in v):
         raise DomainError("order vector must be strictly positive")
-    return _order(P.vertices, v)
+    W, L = P.facets
+    if not W:
+        return INFINITY
+    D = math.lcm(*(x.denominator for x in v))
+    a = [x.numerator * (D // x.denominator) for x in v]
+    return Fraction(min(sum(x * y for x, y in zip(w, a)) for w in W), L * D)
 
 
 def lct_monomial(a: MonomialIdeal):
@@ -164,36 +196,70 @@ def _membership_box(a: MonomialIdeal, lam: Fraction) -> int:
 
 
 def multiplier_ideal_monomial(a: MonomialIdeal, lam: Fraction) -> MonomialIdeal:
-    """Multiplier ideal of a monomial ideal: {x^u : ord_P(u + 1) > lam}."""
+    """Multiplier ideal of a monomial ideal: {x^u : ord_P(u + 1) > lam}.
+
+    ord_P is nondecreasing in each coordinate, so the minimal generators are
+    among the points (prefix, u*) of the box, where u* is the least last
+    exponent that passes for the prefix (u_1, ..., u_(n-1)).  u* has a closed
+    form.  Write lam * L = N / D with D the denominator of lam, and split each
+    row as W_k = (w_k', c_k).  Since ord_P(v) = min_k <W_k, v> / L, the point
+    (prefix, u) passes iff for every k
+
+        (s_k + c_k (u + 1)) D > N,    where s_k = <w_k', prefix + 1>.
+
+    A row with c_k = 0 does not depend on u.  If s_k D <= N, it fails for every
+    u and the prefix has no generator.  A row with c_k > 0 holds iff
+    u + 1 > (N - s_k D) / (c_k D).  As u + 1 is an integer, and an integer t
+    exceeds x iff t >= floor(x) + 1, that is u >= floor((N - s_k D) / (c_k D)).
+    So the least passing u >= 0 is
+
+        u* = max(0, max over k with c_k > 0 of floor((N - s_k D) / (c_k D))).
+
+    A scan of u = 0..cap finds u* when u* <= cap and no point otherwise, so the
+    point is kept iff u* <= cap.  With W empty (0 is an exponent point) no row
+    constrains u, every prefix gives u* = 0, and the ideal is the unit ideal.
+    """
     lam = Fraction(lam)
     if a.is_zero:
         raise DomainError("multiplier ideal of the zero ideal is not defined here")
     if lam < 0:
         raise DomainError("exponent must be >= 0")
-    W = NewtonPolytope.from_monomial_ideal(a).vertices
+    W, L = NewtonPolytope.from_monomial_ideal(a).facets
     cap = _membership_box(a, lam)
+    _check_box(cap + 1, a.n, "the multiplier ideal")
+    N, D = lam.numerator * L, lam.denominator
+    rows = [(w[:-1], w[-1] * D) for w in W]
     points = []
-    # ord_P is nondecreasing, so only the least passing last exponent of each
-    # prefix can be a minimal generator.
     for prefix in itertools.product(range(cap + 1), repeat=a.n - 1):
-        last = next((u for u in range(cap + 1)
-                     if _order(W, [e + 1 for e in prefix] + [u + 1]) > lam), None)
-        if last is not None:
-            points.append((*prefix, last))
+        least = 0
+        for head, cD in rows:
+            rest = N - D * sum(x * (e + 1) for x, e in zip(head, prefix))
+            if cD:
+                least = max(least, rest // cD)
+            elif rest >= 0:
+                break  # the row fails for every u
+        else:
+            if least <= cap:
+                points.append((*prefix, least))
     return MonomialIdeal(points, a.n)
 
 
 def jumping_candidates(a: MonomialIdeal, bound: Fraction) -> list[Fraction]:
     """All jumping numbers of a monomial ideal in (0, bound], sorted ascending.
 
-    Every value is of the form ord_P(u + 1); scanning u over the enumeration
-    box for exponent `bound` finds every jump up to the bound.
+    Every value is of the form ord_P(u + 1) = m / L with m = min_k <W_k, u + 1>;
+    scanning u over the enumeration box for exponent `bound` finds every jump
+    up to the bound.
     """
     bound = Fraction(bound)
     if a.is_zero or a.is_unit():
         raise DomainError("jumping numbers need a nonzero proper ideal")
     if bound <= 0:
         return []
-    W = NewtonPolytope.from_monomial_ideal(a).vertices
-    box = itertools.product(range(_membership_box(a, bound) + 1), repeat=a.n)
-    return sorted({val for u in box if 0 < (val := _order(W, [e + 1 for e in u])) <= bound})
+    W, L = NewtonPolytope.from_monomial_ideal(a).facets
+    side = _membership_box(a, bound) + 1
+    _check_box(side, a.n, "jumping numbers")
+    top = bound.numerator * L // bound.denominator  # m <= bound * L iff m <= top
+    box = itertools.product(range(1, side + 1), repeat=a.n)
+    values = {m for v in box if 0 < (m := min(sum(x * y for x, y in zip(w, v)) for w in W)) <= top}
+    return [Fraction(m, L) for m in sorted(values)]

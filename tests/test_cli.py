@@ -253,6 +253,17 @@ def test_console_entry_point():
     assert proc.stdout.strip() == "5/6"
 
 
+def test_box_cap_exits_2_before_scanning():
+    # Both boxes are {0..300000}^2; the cap is checked before the scan, so the
+    # process ends at once instead of running until it is killed.
+    for argv in (["jumps", "--gens", "x^2,y^3", "-n", "2", "--bound", "100000"],
+                 ["mult-ideal", "--gens", "x^2,y^3", "-n", "2", "--lambda", "100000"]):
+        proc = subprocess.run([sys.executable, "-m", "fthresholds", *argv],
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == EXIT_CAPACITY and proc.stdout == ""
+        assert "box cap" in proc.stderr and "{0..300000}^2" in proc.stderr
+
+
 def test_tau_of_a_monomial_ideal_at_a_large_power(capsys):
     # The chain reads (M^4802)^[1/7^3]; M^N is never expanded.
     code, out = run(capsys, "tau", "--gens", "x^2,y^3,x*y", "-n", "2", "-p", "7",

@@ -1,16 +1,18 @@
 """Newton polytope orders, lct, multiplier ideals, jumping numbers, exact LP."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fthresholds.errors import DomainError
+from fthresholds.errors import CapacityError, DomainError
 from fthresholds.groebner import MonomialIdeal
 from fthresholds.newton import (
+    BOX_CAP,
     INFINITY,
     NewtonPolytope,
     jumping_candidates,
@@ -220,3 +222,76 @@ def test_maximal_ideal_power_closed_forms(n, d):
     half = max(d // 2 - n + 1, 0)
     assert multiplier_ideal_monomial(m_d, Fraction(1, 2)) == MonomialIdeal(compositions(half, n), n)
     assert jumping_candidates(m_d, Fraction(1)) == [Fraction(k, d) for k in range(n, d + 1)]
+
+
+def scanned_orders(a, top):
+    """ord_P(u + 1) for every u of the box {0..cap}^n that the scans use at
+    exponent `top`, each from one exact LP."""
+    P = NewtonPolytope.from_monomial_ideal(a)
+    cap = math.ceil(top * max(max(pt) for pt in a.gens))
+    orders = {}
+    for u in itertools.product(range(cap + 1), repeat=a.n):
+        res = order_lp(P, [e + 1 for e in u])
+        orders[u] = INFINITY if res.status == UNBOUNDED else res.optimum
+    return orders
+
+
+def scanned_multiplier_ideal(a, lam, orders):
+    """The box scan: for each prefix, the first last exponent whose order
+    exceeds lam."""
+    cap = math.ceil(lam * max(max(pt) for pt in a.gens))
+    points = []
+    for prefix in itertools.product(range(cap + 1), repeat=a.n - 1):
+        last = next((u for u in range(cap + 1) if orders[(*prefix, u)] > lam), None)
+        if last is not None:
+            points.append((*prefix, last))
+    return MonomialIdeal(points, a.n)
+
+
+def scanned_jumps(a, bound, orders):
+    cap = math.ceil(bound * max(max(pt) for pt in a.gens))
+    box = itertools.product(range(cap + 1), repeat=a.n)
+    return sorted({v for u in box if (v := orders[u]) is not INFINITY and 0 < v <= bound})
+
+
+@st.composite
+def monomial_ideals(draw):
+    n = draw(st.integers(1, 3))
+    points = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=4))
+    return MonomialIdeal(points, n)
+
+
+@given(monomial_ideals(), st.integers(0, 12), st.integers(0, 50))
+@settings(max_examples=200, deadline=None)
+@example(MonomialIdeal([(2, 0), (1, 3)], 2), 9, 4)  # not m-primary: a row has c_k = 0
+@example(MonomialIdeal([(0, 0, 0)], 3), 6, 0)  # the unit ideal: no row at all
+@example(MonomialIdeal([(0, 2, 1), (3, 0, 0)], 3), 12, 1)
+def test_closed_forms_match_the_box_scan(a, k, pick):
+    # The integer kernel against the box scan it replaced, with every order
+    # taken from its own LP: the multiplier ideal at 0, at k/12 of the bound
+    # and at a jump, and the jumps up to the bound and up to that jump.
+    bound = Fraction(1) if a.n == 3 else Fraction(2)
+    orders = scanned_orders(a, bound)
+    jumps = scanned_jumps(a, bound, orders)
+    lams = [Fraction(0), bound * k / 12] + ([jumps[pick % len(jumps)]] if jumps else [])
+    for lam in lams:
+        assert multiplier_ideal_monomial(a, lam) == scanned_multiplier_ideal(a, lam, orders)
+    if a.is_unit():
+        return
+    assert jumping_candidates(a, bound) == jumps
+    if jumps:
+        assert jumping_candidates(a, lams[-1]) == [v for v in jumps if v <= lams[-1]]
+
+
+def test_box_cap_refuses_before_scanning():
+    # x^2, y^3 at 1000: the box {0..3000}^2 is past the cap, so both scans
+    # refuse at once.
+    a = MonomialIdeal([(2, 0), (0, 3)], 2)
+    with pytest.raises(CapacityError, match=r"\{0\.\.3000\}\^2"):
+        jumping_candidates(a, Fraction(1000))
+    with pytest.raises(CapacityError, match=r"\{0\.\.3000\}\^2"):
+        multiplier_ideal_monomial(a, Fraction(1000))
+    # x^3 at (BOX_CAP - 1)/3: the box {0..BOX_CAP - 1} has BOX_CAP points and
+    # one prefix, whose u* the closed form gives at once.
+    lam = Fraction(BOX_CAP - 1, 3)
+    assert multiplier_ideal_monomial(MonomialIdeal([(3,)], 1), lam).gens == ((BOX_CAP - 1,),)
