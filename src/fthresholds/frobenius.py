@@ -22,7 +22,10 @@ Central facts used throughout (R = F_p[x_1..x_n], q = p^e, m = (x_1..x_n)):
     dominates and the left side lies in the right.  Conversely
     (a^((N-t)/p))^[p] lies in a^(N-t), so the right side lies in the left.
     Applied once per level, it gives (a^N)^[1/p^e] = a^M J' without ever
-    expanding a^N.  For k = 1, t is the last base-p digit of N.
+    expanding a^N.  For k = 1, t is the last base-p digit of N, and a^t is
+    (f^t) with t < p, which the power table reads from GFPoly.pow, the
+    multinomial theorem, when that is cheaper than the chain f^t = f^(t-1) f
+    (_PowerTable).
 """
 
 from __future__ import annotations
@@ -110,19 +113,37 @@ def _root_step(polys: Iterable[GFPoly], n: int, p: int, qv: int) -> list[GFPoly]
     return echelonize((piece for g in polys for piece in g.root_pieces(qv)), n, p)
 
 
+def _box_products(hs: list[GFPoly], gs: list[GFPoly], box: int | None) -> Iterator[GFPoly]:
+    """The products h g, h in hs (outer) and g in gs (inner), modulo m^[box]
+    (box None: in full).  When the total degrees of h and g add up to less
+    than box, no exponent of any term of h g can reach box, so the plain
+    product is exact and skips the box test of mul_truncated."""
+    gs = [(g, g.total_degree()) for g in gs]
+    for h in hs:
+        room = box - h.total_degree() if box else None
+        for g, degree in gs:
+            yield h.mul_truncated(g, box) if box and degree >= room else h * g
+
+
 class _PowerTable:
     """Spanning sets of a^t, t = 0..k(p-1), for a = (gens) with k generators,
     each built on its first read; a table serves one call and is then dropped.
 
     powers[t] is [f^t] for k = 1 and the echelonized products g^c with
-    |c| = t otherwise.  The per-generator powers g_i^j those products need are
-    built on first use as well.  The products stream into the echelon, so
-    only the table and the basis being built are kept.  With a `box` the
-    entries are kept modulo m^[box]: a product is truncated when its factors'
-    total degrees add up to box or more, and no term of any other product can
-    leave the box.  Every polynomial the table builds is counted against
-    POWER_TABLE_CAP as it is added; CapacityError names the entry whose read
-    passed the cap.
+    |c| = t otherwise.  For k = 1, f^t comes from f.pow(t), the multinomial
+    theorem, so an entry that no probe reads is never built.  It comes from
+    the chain f^j = f^(j-1) f instead when f.multinomial_fits(t) refuses, as
+    for a dense f at a large p, or when the C(t + s - 1, t) compositions of
+    t into the s terms of f, the theorem's work, pass POWER_TABLE_CAP: the
+    cap counts the chain's powers as they are built, so it bounds the work
+    of every entry.  For k >= 2 the per-generator powers g_i^j, every j <= t
+    of which the products read, come from that chain, built on first use as
+    well.  The products stream into the echelon, so only the table and the
+    basis being built are kept.  With a `box` the entries are kept modulo
+    m^[box], each product by _box_products.  POWER_TABLE_CAP counts the terms
+    of every polynomial the table keeps, the f^t read, the chain's powers
+    and the products, as each is added; CapacityError names the entry whose
+    read passed the cap.
     """
 
     def __init__(self, gens: list[GFPoly], box: int | None = None):
@@ -140,25 +161,31 @@ class _PowerTable:
     def __getitem__(self, t: int) -> list[GFPoly]:
         span = self.spans.get(t)
         if span is None:
-            if len(self.gens) == 1:
-                span = [self._gen_power(0, t, t)]
-            else:
+            f = self.gens[0]
+            if len(self.gens) > 1:
                 span = echelonize(self._products(0, t, t), self.n, self.p)
+            elif f.multinomial_fits(t) and math.comb(t + len(f.terms) - 1, t) <= POWER_TABLE_CAP:
+                power = f.pow(t)
+                if self.box and power.total_degree() >= self.box:
+                    power = power.truncate(self.box)
+                span = [self._count(power, t)]
+            else:
+                span = [self._gen_power(0, t, t)]
             self.spans[t] = span
         return span
 
-    def _mul(self, f: GFPoly, g: GFPoly, t: int) -> GFPoly:
-        """f g, modulo m^[box] if any, counted against the cap as part of a^t."""
-        box = self.box
-        if box and f.total_degree() + g.total_degree() >= box:
-            prod = f.mul_truncated(g, box)
-        else:
-            prod = f * g
-        self.terms += len(prod.terms)
+    def _count(self, poly: GFPoly, t: int) -> GFPoly:
+        """poly, its terms counted against the cap as part of a^t."""
+        self.terms += len(poly.terms)
         if self.terms > POWER_TABLE_CAP:
             raise CapacityError(f"power table cap of {POWER_TABLE_CAP} terms exceeded "
                                 f"at a^{t} ({self.terms} terms)")
-        return prod
+        return poly
+
+    def _mul(self, f: GFPoly, g: GFPoly, t: int) -> GFPoly:
+        """f g, modulo m^[box] if any, counted against the cap as part of a^t."""
+        prod, = _box_products([f], [g], self.box)
+        return self._count(prod, t)
 
     def _gen_power(self, i: int, j: int, t: int) -> GFPoly:
         powers = self.gen_powers[i]
@@ -221,7 +248,10 @@ def _escapes(powers: _PowerTable, r: int, level: int) -> bool:
     Box.  Since (I + m^[Q])^[1/p] = I^[1/p] + m^[Q/p] and m^[1] = m, the
     products of step i = 0, 1, ... are needed only modulo m^[p^(level-i)],
     so every term with an exponent >= p^(level-i) is dropped.  The J of the
-    previous step already lies in that box.
+    previous step already lies in that box.  Every product, the last step's
+    too, follows the table's one rule (_box_products): a plain `*` when the
+    factors' total degrees add up to less than the box, exact because no
+    exponent can then reach it, and mul_truncated otherwise.
 
     Local generators.  Whether J lies in m is a question at the origin:
     an ideal lies in m iff its localization at the origin lies in the
@@ -251,9 +281,9 @@ def _escapes(powers: _PowerTable, r: int, level: int) -> bool:
     for i, t in enumerate(digits[:-1]):
         if t:
             prev, box = J, p**(level - i)
-            J = (h.mul_truncated(g, box) for h in powers[t] for g in prev)
+            J = _box_products(powers[t], prev, box)
         J = local_generators(_root_step(J, one.n, p, p), p**(level - i - 1))
-    return any(not h.mul_truncated(g, p).is_zero for h in powers[digits[-1]] for g in J)
+    return any(not prod.is_zero for prod in _box_products(powers[digits[-1]], J, p))
 
 
 def _times_power(gens: list[GFPoly], M: int, J: list[GFPoly]) -> list[GFPoly]:

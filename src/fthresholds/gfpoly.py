@@ -40,6 +40,7 @@ keyed by them, and `lead_monomial`, `sorted_terms` and `str` return them.
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Mapping
 from typing import Callable, Iterable, Iterator
 
@@ -435,17 +436,129 @@ class GFPoly:
         return GFPoly(n, p, out)
 
     def pow(self, r: int) -> "GFPoly":
+        """self^r, one base-p digit of r at a time.
+
+        Over F_p, f^(p^d) = f^[p^d], the lift sum c x^(p^d a) of f = sum c x^a
+        (Lucas: every other multinomial coefficient vanishes mod p).  So with
+        r = sum_d r_d p^d, f^r is the `*`-product of the lifted digit powers
+        (f^(r_d))^[p^d], and only powers f^t with t < p are ever expanded.
+
+        Such an f^t comes from the multinomial theorem: for f = sum_i c_i
+        x^(a_i) with s terms, f^t is the sum over the compositions b of t
+        into s parts of t!/(b_1! ... b_s!) prod_i c_i^(b_i) x^(sum_i b_i a_i),
+        and every b_i! is a unit mod p as b_i <= t < p (`_multinomial_power`).
+        The guard `multinomial_fits` takes that route only while the
+        C(t + s - 1, s - 1) compositions stay within the term pairs the chain
+        f^(u+1) = f^u f can visit, s * sum_(u < t) C(u deg f + n, n).
+        Otherwise, as for a dense f with many terms at a large p, f^t comes
+        from that chain, shared by every digit.
+        """
         if r < 0:
             raise DomainError("negative power")
-        result = GFPoly.one(self.n, self.p)
-        base = self
+        n, p = self.n, self.p
+        if r == 0:
+            return GFPoly.one(n, p)
+        if not self._terms:
+            return self
+        chain = [self]  # chain[u - 1] = f^u
+        result = None
+        qv = 1
         while r:
-            if r & 1:
-                result = result * base
-            r >>= 1
-            if r:
-                base = base * base
+            r, t = divmod(r, p)
+            if t:
+                if self.multinomial_fits(t):
+                    piece = self._multinomial_power(t)
+                else:
+                    while len(chain) < t:
+                        chain.append(chain[-1] * self)
+                    piece = chain[t - 1]
+                if qv > 1:
+                    piece = piece.frobenius_power(qv)
+                result = piece if result is None else result * piece
+            qv *= p
         return result
+
+    def multinomial_fits(self, t: int) -> bool:
+        """Whether f^t, 0 < t < p, is to come from the multinomial theorem.
+
+        With s terms, its C(t + s - 1, s - 1) compositions of t must be at most
+        s * sum_(u < t) C(u deg f + n, n), the term pairs that the chain
+        f^(u+1) = f^u f can visit, as f^u has at most C(u deg f + n, n) terms.
+        A dense f with many terms at a large p fails that: a 14-term quartic
+        in two variables at p = 101 has about 3.8e16 compositions of 100
+        against a chain bound of about 3.7e7.  t deg f must also stay below
+        EXPONENT_LIMIT, so that every monomial the theorem forms is in range;
+        the chain checks its own products for overflow.
+        """
+        s, deg, n = len(self._terms), self.total_degree(), self.n
+        if t * deg >= EXPONENT_LIMIT:
+            return False
+        compositions = math.comb(t + s - 1, s - 1)
+        bound = 0
+        for u in range(t):
+            bound += s * math.comb(u * deg + n, n)
+            if bound >= compositions:
+                return True
+        return False
+
+    def _multinomial_power(self, t: int) -> "GFPoly":
+        """f^t for 0 < t < p by the multinomial theorem.
+
+        f^t / t! is the coefficient of z^t in prod_i exp(z c_i x^(a_i)) over
+        the terms c_i x^(a_i) of f, and every a! with a <= t < p is a unit
+        mod p.  The product is taken one term at a time and cut at z^t:
+        levels[j] holds its coefficient of z^j, and a factors of a term move
+        level j up to j + a and shift its keys by a times the term's key (the
+        keys are linear).  The last two terms are taken together, a and
+        t - j - a factors, so that step visits each of the C(t + s - 1, s - 1)
+        compositions of t once, and the steps before it fewer pairs.  Every
+        key met has degree at most t deg f < EXPONENT_LIMIT, so no field
+        carries.
+        """
+        if t == 1:
+            return self
+        n, p = self.n, self.p
+        items = list(self._terms.items())
+        if len(items) == 1:
+            (key, c), = items
+            return GFPoly(n, p, {t * key: pow(c, t, p)})
+        fact = 1
+        for a in range(2, t + 1):
+            fact = fact * a % p
+        inv = [1] * (t + 1)  # inv[a] = 1/a! mod p
+        inv[t] = pow(fact, -1, p)
+        for a in range(t, 1, -1):
+            inv[a - 1] = inv[a] * a % p
+        series = []  # per term: (a key, c^a / a!) for a = 0..t
+        for key, c in items:
+            steps, ca = [], 1
+            for a in range(t + 1):
+                steps.append((a * key, ca * inv[a] % p))
+                ca = ca * c % p
+            series.append(steps)
+        *head, first, second = series
+        levels: list = [{shift: w} for shift, w in head.pop(0)] if head else [{0: 1}]
+        for steps in head:
+            grown: list = [{} for _ in range(t + 1)]
+            for j, level in enumerate(levels):
+                for a in range(t + 1 - j):
+                    shift, w = steps[a]
+                    target = grown[j + a]
+                    get = target.get
+                    for m, v in level.items():
+                        m += shift
+                        target[m] = (get(m, 0) + v * w) % p
+            levels = grown
+        out: dict = {}
+        get = out.get
+        for j, level in enumerate(levels):
+            for a in range(t + 1 - j):
+                (shift1, w1), (shift2, w2) = first[a], second[t - j - a]
+                shift, w = shift1 + shift2, w1 * w2 * fact % p
+                for m, v in level.items():
+                    m += shift
+                    out[m] = (get(m, 0) + v * w) % p
+        return GFPoly(n, p, _drop_zeros(out))
 
     def truncate(self, bound: int) -> "GFPoly":
         """Drop every term having some exponent >= bound."""

@@ -127,16 +127,18 @@ def test_sweep_csv_to_stdout(capsys):
 
 
 def test_sweep_capacity_skips_prime(monkeypatch, capsys):
-    # p = 5 builds f^2..f^4, 13 terms; p = 101 reads a^83 first, past 100.
+    # The table builds only the f^t it reads.  p = 5 runs at 5^5 and reads f^3
+    # and f^4, 10 terms with the unit; p = 101 runs at 101^2, reads f^83 (84
+    # terms) at level 1 and f^100 (101 terms) for the jump, past 100.
     monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 100)
     code = dispatch(["sweep", "--gens", "x^2+y^3", "-n", "2", "--primes", "5,101",
-                     "--qmax", "10000"])
+                     "--qmax", "10201"])
     captured = capsys.readouterr()
     assert code == EXIT_CAPACITY
     assert [(r["p"], r["nu"]) for r in json.loads(captured.out)["records"]] == [(5, 2499)]
     assert "warning: p=101 skipped (capacity)" in captured.err
     issues: list[SweepIssue] = []
-    records = sweep(IntegerIdeal.from_strings(["x^2+y^3"], 2), [5, 101], 10000, issues=issues)
+    records = sweep(IntegerIdeal.from_strings(["x^2+y^3"], 2), [5, 101], 10201, issues=issues)
     assert [r.p for r in records] == [5]
     assert [(i.p, i.kind) for i in issues] == [(101, "capacity")]
 

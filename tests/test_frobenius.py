@@ -667,6 +667,28 @@ def test_power_table_matches_eager(seed):
         assert len(echelonize(table[t] + eager[t], a.n, a.p)) == rank
 
 
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_principal_power_table_matches_eager(seed):
+    """Each k = 1 entry, read in a random order, without a box and with the
+    box p^e, is the eager chain's f^t truncated to that box.  A dense quartic
+    of one variable at p = 11, 13 sends its top entries to the chain."""
+    rng = random.Random(seed)
+    p = rng.choice([2, 3, 5, 7, 11, 13])
+    if rng.random() < 0.25:
+        f = GFPoly.make(1, p, [((a,), rng.randint(1, p - 1)) for a in range(5)])
+    else:
+        f = GFPoly.zero(1, p)
+        while f.is_zero:
+            f = rand_gfpoly(rng, rng.randint(1, 3), p, max_deg=4, max_terms=5)
+    eager = eager_powers([f])
+    for box in (None, p**rng.randint(1, 2)):
+        table = frobenius._PowerTable([f], box)
+        for t in rng.sample(range(p), p):
+            want = eager[t][0].truncate(box) if box else eager[t][0]
+            assert table[t] == [want], (t, box)
+
+
 def test_power_table_builds_only_what_is_read(monkeypatch):
     # The eager table passed POWER_TABLE_CAP at p >= 59 and raised CapacityError.
     assert nu(ideal(["x^2 + y^3", "x^3 + y^2"], p=59), 3).nu == 59**3 - 1
@@ -876,17 +898,29 @@ def test_tau_general_route_matches_principal():
 
 def test_power_table_capacity(monkeypatch):
     # Level 1 of nu reads a^6 first, min(p - 1, floor((p - 1) lct(T))) = 6: the
-    # table holds 1 + 3 + 4 + 5 = 13 terms up to f^4, and f^5 adds 6 more.
-    monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 15)
+    # table builds f^6 alone, whose 7 terms and the unit pass a cap of 7.
+    monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 7)
     f = ideal(["x + y"], p=7)
-    with pytest.raises(CapacityError, match=r"at a\^6 \(19 terms\)"):
+    with pytest.raises(CapacityError, match=r"at a\^6 \(8 terms\)"):
         nu(f, 1)
+    monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 15)
     with pytest.raises(CapacityError, match="power table cap of 15"):
         tau_chain(ideal(["x^2 + y", "x*y + x"], p=5), Fraction(3, 2), 3)
     # nu keeps its table modulo m^[p^e]: f^2 = x^6 + 2 x^3 y^4 + y^8 is kept as
     # its one term 2 x^3 y^4 inside the box 5, and fits a cap of 3 terms.
     monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 3)
     assert nu(ideal(["x^3 + y^4"], p=5), 1).nu == 2
+
+
+def test_power_table_cap_bounds_the_multinomial(monkeypatch):
+    # lct(T) = 2/3, so level 1 reads f^66 first and nu(1) = 66.  Under a cap of
+    # 10^4 the multinomial theorem would visit C(69, 3) = 52394 compositions
+    # for it, so the entry comes from the chain, which passes the cap.
+    a = ideal(["x^4 + y^3 + x*y^2 + 2*x^2*y"], p=101)
+    assert nu(a, 1).nu == 66
+    monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 10**4)
+    with pytest.raises(CapacityError, match=r"at a\^66 "):
+        nu(a, 1)
 
 
 def test_tau_monomial_route():

@@ -1,5 +1,6 @@
 """Polynomial arithmetic over F_p and the truncated-power kernel."""
 
+import math
 import random
 
 import pytest
@@ -105,6 +106,59 @@ def test_freshmans_dream(seed):
     assert set(fp.terms) == {tuple(p * e for e in m) for m in f.terms}
 
 
+def guard_oracle(f: GFPoly, t: int) -> bool:
+    """The multinomial guard by its definition: compositions of t into the s
+    terms against s times the largest term counts of f^u, u < t."""
+    s, d, n = len(f.terms), f.total_degree(), f.n
+    return math.comb(t + s - 1, s - 1) <= s * sum(math.comb(u * d + n, n) for u in range(t))
+
+
+def dense_quartic(rng: random.Random, p: int) -> GFPoly:
+    """Every monomial 1, x, ..., x^4, each with a nonzero coefficient."""
+    return GFPoly.make(1, p, [((a,), rng.randint(1, p - 1)) for a in range(5)])
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=120, deadline=None)
+def test_pow_matches_repeated_product(seed):
+    """f.pow(r) equals the r-fold product by `*` (n <= 3, p <= 13, at most 5
+    terms, r <= 3p), and the guard picks the multinomial route exactly as
+    its definition says.  A quarter of the draws take the dense quartic of
+    one variable, which the guard refuses for the digits 10..12 at p = 11,
+    13, so both digit-power routes and the lifts run."""
+    rng = random.Random(seed)
+    p = rng.choice([2, 3, 5, 7, 11, 13])
+    if rng.random() < 0.25:
+        f = dense_quartic(rng, p)
+    else:
+        n = rng.randint(1, 3)
+        f = GFPoly.make(n, p, [(tuple(rng.randint(0, 4) for _ in range(n)), rng.randint(1, p - 1))
+                               for _ in range(rng.randint(0, 5))])
+    r = rng.randint(0, 3 * p)
+    product = GFPoly.one(f.n, p)
+    for _ in range(r):
+        product = product * f
+    assert f.pow(r) == product
+    if not f.is_zero:
+        for t in range(1, p):
+            assert f.multinomial_fits(t) == guard_oracle(f, t), t
+
+
+def test_pow_guard_refuses_dense_powers():
+    rng = random.Random(0)
+    quartic = dense_quartic(rng, 13)
+    assert [t for t in range(1, 13) if not quartic.multinomial_fits(t)] == [10, 11, 12]
+    product = GFPoly.one(1, 13)
+    for _ in range(38):  # 38 = 12 + 2 * 13: a refused digit and a lifted one
+        product = product * quartic
+    assert quartic.pow(38) == product
+    # Every monomial of degree <= 4 in two variables but one, at p = 101:
+    # about 3.8e16 compositions of 100 against a chain bound of about 3.7e7.
+    dense = GFPoly.make(2, 101, [((a, b), 1) for a in range(5) for b in range(5 - a)][1:])
+    assert len(dense.terms) == 14 and not dense.multinomial_fits(100)
+    assert gf("x^2 + y^3 + x*y", 2, 101).multinomial_fits(100)
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
 def test_truncated_vanishing_is_monotone(seed):
@@ -136,6 +190,12 @@ def test_exponent_overflow():
     big = GFPoly.make(1, 5, [((2**31,), 1)])
     with pytest.raises(OverflowError):
         big * big
+    for r in (2, 5):  # a digit power, and a lift by 5
+        with pytest.raises(OverflowError):
+            big.pow(r)
+    # Total degree 2^32 with every exponent below it: a valid square.
+    wide = GFPoly.make(2, 5, [((2**30, 2**30), 1), ((1, 0), 1)])
+    assert wide.pow(2) == wide * wide
     x = GFPoly.make(1, 3, [((2**31 + 1,), 1)])
     with pytest.raises(OverflowError):
         x.mul_truncated(x, 3**21)
