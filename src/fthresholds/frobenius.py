@@ -33,12 +33,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import CapacityError, DomainError, InvariantViolation
 from .exact import PrimePower, prime_power
-from .gfpoly import (GFPoly, drl_key, echelonize, local_generators, monomials_ascending,
-                     truncated_powers)
+from .gfpoly import (GFPoly, drl_key, echelonize, monomials_ascending, root_echelon,
+                     root_local_generators, truncated_powers)
 from .groebner import Ideal, MonomialIdeal
 from .newton import NewtonPolytope, multiplier_ideal_monomial
 
@@ -103,14 +103,7 @@ def frobenius_root(b: Ideal, q: PrimePower) -> Ideal:
     """The smallest ideal J with b contained in J^[q]."""
     if b.p != q.p:
         raise DomainError(f"ambient characteristic {b.p} does not match q = {q}")
-    return Ideal(_root_step(b.gens, b.n, b.p, q.q), n=b.n, p=b.p)
-
-
-def _root_step(polys: Iterable[GFPoly], n: int, p: int, qv: int) -> list[GFPoly]:
-    """The q-th Frobenius root, q = qv, of the ideal generated by `polys`,
-    echelonized.  `polys` is read once, and each polynomial's pieces go
-    straight into the echelon: only the current basis is kept."""
-    return echelonize((piece for g in polys for piece in g.root_pieces(qv)), n, p)
+    return Ideal(root_echelon(b.gens, b.n, b.p, q.q), n=b.n, p=b.p)
 
 
 def _box_products(hs: list[GFPoly], gs: list[GFPoly], box: int | None) -> Iterator[GFPoly]:
@@ -221,7 +214,7 @@ def _digit_root(powers: _PowerTable, N: int, e: int) -> tuple[list[GFPoly], int]
     """(J, M) with (a^N)^[1/p^e] = a^M (J), from powers = _PowerTable(gens of a):
     the digit identity of the module docstring, once per level.
 
-    The products h g stream into _root_step, so only the table, the previous
+    The products h g stream into root_echelon, so only the table, the previous
     J and the basis being built are kept.  J is the full echelon of each
     level's root, since tau and froot need the ideal itself; _escapes, which
     asks only whether the root lies in m, keeps far less.
@@ -234,7 +227,7 @@ def _digit_root(powers: _PowerTable, N: int, e: int) -> tuple[list[GFPoly], int]
         if t:
             prev = J
             J = (h * g for h in powers[t] for g in prev)
-        J = _root_step(J, n, p, p)
+        J = root_echelon(J, n, p, p)
     return J, M
 
 
@@ -260,11 +253,17 @@ def _escapes(powers: _PowerTable, r: int, level: int) -> bool:
     ideals with the same localization have roots, products with a^t and
     sums with m^[Q] with the same localization, and every later step, hence
     the answer, is unchanged when J is replaced by such an ideal.  After
-    each step but the last, gfpoly.local_generators keeps the rows of J's
-    echelon that are independent modulo the shifts x_i g (truncated to the
-    next box Q) and the rows kept before them.  With I = (J) + m^[Q], every
-    row lies in (kept) + m^[Q] + m I, so by Nakayama (kept) + m^[Q] and I
-    have the same localization, and m^[Q] is dropped by the box anyway.
+    each step but the last, the rows of J's echelon are kept that are
+    independent modulo the shifts x_i g (truncated to the next box Q) and
+    the rows kept before them.  With I = (J) + m^[Q], every row lies in
+    (kept) + m^[Q] + m I, so by Nakayama (kept) + m^[Q] and I have the same
+    localization, and m^[Q] is dropped by the box anyway.  Each such step is
+    one pass over term dicts, gfpoly.root_local_generators: the products'
+    root pieces go into the echelon as dicts, a one-term piece (most of
+    them) settled by a lookup, its pivot dicts and their shifts into the
+    local test, the shifts of a one-term row again by lookups, and only the
+    rows kept become polynomials.  The rows and their order are those of
+    gfpoly.local_generators of the step's echelonized root.
 
     Last level.  With box p, (h J)^[1/p] is generated by the root pieces of
     the products h g, and the piece of x^gamma, gamma in [0, p)^n, has a
@@ -282,7 +281,7 @@ def _escapes(powers: _PowerTable, r: int, level: int) -> bool:
         if t:
             prev, box = J, p**(level - i)
             J = _box_products(powers[t], prev, box)
-        J = local_generators(_root_step(J, one.n, p, p), p**(level - i - 1))
+        J = root_local_generators(J, one.n, p, p**(level - i - 1))
     return any(not prod.is_zero for prod in _box_products(powers[digits[-1]], J, p))
 
 

@@ -40,6 +40,7 @@ keyed by them, and `lead_monomial`, `sorted_terms` and `str` return them.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections.abc import Mapping
 from typing import Callable, Iterable, Iterator
@@ -581,26 +582,7 @@ class GFPoly:
     def root_pieces(self, qv: int) -> list["GFPoly"]:
         """Split self = sum_gamma (g_gamma)^q * x^gamma, 0 <= gamma_i < q; return
         the nonzero g_gamma in ascending degrevlex order of gamma."""
-        n = self.n
-        w = _width(n)
-        mask = (1 << w) - 1
-        shifts = range(0, n * w, w)
-        buckets: dict = {}
-        for m, c in self._terms.items():
-            gamma = sg = prev = 0
-            for shift in shifts:
-                s = (m >> shift) & mask
-                sg += (s - prev) % qv
-                prev = s
-                gamma |= sg << shift
-            # The fields are linear: m = q * beta + gamma with no carries.
-            beta = (m - gamma) // qv
-            bucket = buckets.get(gamma)
-            if bucket is None:
-                buckets[gamma] = {beta: c}
-            else:
-                bucket[beta] = c
-        return [GFPoly(n, self.p, buckets[g]) for g in sorted(buckets)]
+        return [GFPoly(self.n, self.p, piece) for piece in _root_split(self._terms, self.n, qv)]
 
     def remainder(self, basis: Iterable["GFPoly"]) -> "GFPoly":
         """Remainder of multivariate division by `basis` under degrevlex.
@@ -698,10 +680,50 @@ def s_polynomial(f: GFPoly, g: GFPoly) -> GFPoly:
             - g.mul_term(_unpack(lcm - lg, n, w), pow(g._terms[lg], -1, p)))
 
 
+def _root_split(terms: dict, n: int, qv: int) -> list[dict]:
+    """The term dicts of the g_gamma in terms = sum_gamma (g_gamma)^q x^gamma,
+    0 <= gamma_i < q, in ascending degrevlex order of gamma; every g_gamma
+    is nonzero, and each dict is new."""
+    w = _width(n)
+    mask = (1 << w) - 1
+    shifts = range(0, n * w, w)
+    buckets: dict = {}
+    for m, c in terms.items():
+        gamma = sg = prev = 0
+        for shift in shifts:
+            s = (m >> shift) & mask
+            sg += (s - prev) % qv
+            prev = s
+            gamma |= sg << shift
+        # The fields are linear: m = q * beta + gamma with no carries.
+        beta = (m - gamma) // qv
+        bucket = buckets.get(gamma)
+        if bucket is None:
+            buckets[gamma] = {beta: c}
+        else:
+            bucket[beta] = c
+    return [buckets[g] for g in sorted(buckets)]
+
+
 def _add_row(pivots: dict, terms: dict, p: int) -> bool:
     """Reduce the row `terms` by the echelon `pivots`, which maps each pivot's
     lead to its monic terms, and add a nonzero rest as a new pivot.  Return
-    whether it added one (False: the row lay in the span of the pivots)."""
+    whether it added one (False: the row lay in the span of the pivots).
+
+    `terms` is read, never changed.  A one-term row c x^m, as most root
+    pieces of a nu probe are, is settled by one lookup: with no pivot at m
+    it becomes the pivot {m: 1}, and a one-term pivot at m, which is x^m,
+    spans it.  Those are the pivots and answers of the general loop below,
+    which runs for it only when the pivot at m has other terms.
+    """
+    if len(terms) == 1:
+        m, = terms
+        piv = pivots.get(m)
+        if piv is None:
+            pivots[m] = {m: 1}
+            return True
+        if len(piv) == 1:
+            return False
     work = dict(terms)
     while work:
         m = max(work)
@@ -720,6 +742,15 @@ def _add_row(pivots: dict, terms: dict, p: int) -> bool:
     return False
 
 
+def _echelon(rows: Iterable[dict], p: int) -> list[dict]:
+    """The pivots of the rows, added in the order given by _add_row, as monic
+    term dicts in descending degrevlex order of their leads."""
+    pivots: dict = {}
+    for terms in rows:
+        _add_row(pivots, terms, p)
+    return [pivots[m] for m in sorted(pivots, reverse=True)]
+
+
 def echelonize(polys: Iterable[GFPoly], n: int, p: int) -> list[GFPoly]:
     """Echelonize a generating set over F_p (same ideal, bounded count).
 
@@ -729,12 +760,49 @@ def echelonize(polys: Iterable[GFPoly], n: int, p: int) -> list[GFPoly]:
     reduced by the pivots so far; a row already in their span, such as a
     repeated row, reduces to zero.  Which rows become pivots depends on the
     order; the span does not.  The pivots come back monic, in descending
-    degrevlex order of their lead monomials.
+    degrevlex order of their lead monomials.  The echelon works on the term
+    dicts (_echelon), with a one-term row settled by a lookup (_add_row).
     """
+    return [GFPoly(n, p, t) for t in _echelon((g._terms for g in polys), p)]
+
+
+def _root_rows(polys: Iterable[GFPoly], n: int, qv: int) -> Iterator[dict]:
+    """The term dicts of the root pieces of each polynomial in turn, each
+    polynomial's in ascending order of gamma (GFPoly.root_pieces)."""
+    return itertools.chain.from_iterable(_root_split(g._terms, n, qv) for g in polys)
+
+
+def root_echelon(polys: Iterable[GFPoly], n: int, p: int, qv: int) -> list[GFPoly]:
+    """The q-th Frobenius root, q = qv, of the ideal generated by `polys`,
+    echelonized: echelonize of their root pieces, polynomial by polynomial.
+    `polys` is read once, and each polynomial's pieces go straight into the
+    echelon as term dicts, so only the current basis is kept and no piece
+    becomes a GFPoly."""
+    return [GFPoly(n, p, t) for t in _echelon(_root_rows(polys, n, qv), p)]
+
+
+def _local_rows(rows: list[dict], n: int, p: int, box: int) -> list[dict]:
+    """The rows of local_generators, as term dicts: the rows that stay
+    independent modulo the boxed shifts of every row and the rows kept
+    before them.  The shifts of a one-term row c x^m are the one-term rows
+    c x_i x^m inside the box, each settled by _add_row's lookup."""
+    w = _width(n)
+    fields, bias, guards = _box(box, n, w)
+    shifts = [_pack([0] * i + [1] + [0] * (n - 1 - i), w) for i in range(n)]
     pivots: dict = {}
-    for g in polys:
-        _add_row(pivots, g._terms, p)
-    return [GFPoly(n, p, pivots[m]) for m in sorted(pivots, reverse=True)]
+    for terms in rows:
+        if len(terms) == 1:
+            (m, c), = terms.items()
+            for shift in shifts:
+                mm = m + shift
+                if not (mm - ((mm << w) & fields) + bias) & guards:
+                    _add_row(pivots, {mm: c}, p)
+            continue
+        for shift in shifts:
+            _add_row(pivots, {mm: c for m, c in terms.items()
+                              if not ((mm := m + shift) - ((mm << w) & fields) + bias) & guards},
+                     p)
+    return [terms for terms in rows if _add_row(pivots, terms, p)]
 
 
 def local_generators(rows: list[GFPoly], box: int) -> list[GFPoly]:
@@ -746,20 +814,22 @@ def local_generators(rows: list[GFPoly], box: int) -> list[GFPoly]:
     of the rows plus m^[box], I lies in (kept) + m^[box] + m I, and the kept
     rows with m^[box] generate I in the local ring at the origin (Nakayama).
     No shift has a constant term, so the first row that has one is kept.
+    The work is on the term dicts (_local_rows), where the shifts of a
+    one-term row are one-term rows, each settled by a lookup (_add_row).
     """
     if not rows:
         return []
     n, p = rows[0].n, rows[0].p
-    w = _width(n)
-    fields, bias, guards = _box(box, n, w)
-    shifts = [_pack([0] * i + [1] + [0] * (n - 1 - i), w) for i in range(n)]
-    pivots: dict = {}
-    for g in rows:
-        for shift in shifts:
-            _add_row(pivots, {mm: c for m, c in g._terms.items()
-                              if not ((mm := m + shift) - ((mm << w) & fields) + bias) & guards},
-                     p)
-    return [g for g in rows if _add_row(pivots, g._terms, p)]
+    return [GFPoly(n, p, t) for t in _local_rows([g._terms for g in rows], n, p, box)]
+
+
+def root_local_generators(polys: Iterable[GFPoly], n: int, p: int, box: int) -> list[GFPoly]:
+    """local_generators(root_echelon(polys, n, p, p), box) in one pass over
+    term dicts: the p-th root pieces go into the echelon, its pivot dicts
+    into _local_rows, and only the rows kept become GFPolys.  The rows and
+    their order are those of the composition."""
+    rows = _echelon(_root_rows(polys, n, p), p)
+    return [GFPoly(n, p, t) for t in _local_rows(rows, n, p, box)]
 
 
 def truncated_powers(f: GFPoly, e: int, term_cap: int,

@@ -7,8 +7,11 @@ explicit products, binomial survival is decided digit by digit with
 Lucas' theorem, Groebner bases come from Buchberger's loop over every pair
 (buchberger_all_pairs), Newton-polytope orders are solved as one exact LP
 each (order_lp) instead of read off the facet normals, a nu probe keeps
-the full echelon of every level's root (escapes_oracle), and nu_M(b) of a
-monomial ideal is a search over every generator that fits (packing_oracle).
+the full echelon of every level's root (escapes_oracle), a root step's local
+generators come from an echelon over exponent tuples with no one-term
+shortcut (root_local_reference), nu_M(b) of a monomial ideal is a search
+over every generator that fits (packing_oracle), and the fpt of a diagonal
+hypersurface is read from base-p digits (diagonal_fpt).
 
 Hypothesis runs under a derandomized profile: each test draws the same
 examples on every run (seeded from the test itself), so the suite's time and
@@ -189,6 +192,31 @@ def cusp_nu_oracle(p: int, e: int) -> int:
     return 0
 
 
+def diagonal_fpt(exps: Sequence[int], p: int) -> Fraction:
+    """fpt of x_1^a_1 + ... + x_n^a_n over F_p in closed form (Hernandez,
+    "F-invariants of diagonal hypersurfaces", Proc. AMS 2015).
+
+    Expand each 1/a_i in base p without terminating (1/2 = 0.0111..._2):
+    digit j of x in (0, 1] is ceil(x p) - 1, and x p minus it is the next x.
+    Let L be the last position such that at every position up to L the
+    digits of the 1/a_i sum to at most p - 1.  Then fpt is the sum of the
+    expansions cut after L digits, plus 1/p^L.  If no position sums past
+    p - 1, it is sum 1/a_i.  The digits repeat once the tuple of the x's
+    does, so the search ends.
+    """
+    xs = tuple(Fraction(1, a) for a in exps)
+    cut, scale, seen = Fraction(0), Fraction(1), set()
+    while xs not in seen:
+        seen.add(xs)
+        digits = [-(-x.numerator * p // x.denominator) - 1 for x in xs]
+        if sum(digits) > p - 1:
+            return cut + scale
+        scale /= p
+        cut += sum(digits) * scale
+        xs = tuple(x * p - d for x, d in zip(xs, digits))
+    return sum(Fraction(1, a) for a in exps)
+
+
 def buchberger_all_pairs(gens: list[GFPoly]) -> tuple[GFPoly, ...]:
     """The reduced Groebner basis by Buchberger's loop over every pair, skipping
     only pairs whose leads are coprime: the reference for the pair criteria of
@@ -284,24 +312,51 @@ def ref_root_pieces(a: dict, q: int) -> list[dict]:
     return [buckets[g] for g in sorted(buckets, key=drl)]
 
 
+def ref_add_row(pivots: dict, row: dict, p: int) -> bool:
+    """Reduce `row` by the monic `pivots` (lead -> terms) with no shortcut for
+    one-term rows, and add a nonzero rest as a monic pivot; return whether
+    one was added."""
+    work = dict(row)
+    while work:
+        m = max(work, key=drl)
+        if m not in pivots:
+            inv = pow(work[m], -1, p)
+            pivots[m] = {k: c * inv % p for k, c in work.items()}
+            return True
+        c = work[m]
+        for k, v in pivots[m].items():
+            work[k] = (work.get(k, 0) - c * v) % p
+            if not work[k]:
+                del work[k]
+    return False
+
+
 def ref_linear_reduce(rows: list[dict], p: int) -> list[dict]:
     """Row echelon form: rows taken in the order given, each reduced by the
     pivots so far; the pivots are returned monic, by descending lead monomial."""
     pivots: dict = {}
     for r in rows:
-        work = dict(r)
-        while work:
-            m = max(work, key=drl)
-            if m not in pivots:
-                inv = pow(work[m], -1, p)
-                pivots[m] = {k: c * inv % p for k, c in work.items()}
-                break
-            c = work[m]
-            for k, v in pivots[m].items():
-                work[k] = (work.get(k, 0) - c * v) % p
-                if not work[k]:
-                    del work[k]
+        ref_add_row(pivots, r, p)
     return [pivots[m] for m in sorted(pivots, key=drl, reverse=True)]
+
+
+def ref_local_generators(rows: list[dict], box: int, p: int) -> list[dict]:
+    """The rows, in order, that stay independent of the shifts x_i g of every
+    row g (each truncated to the box) and of the rows kept before them."""
+    pivots: dict = {}
+    for r in rows:
+        for i in range(len(next(iter(r)))):
+            shifted = {tuple(e + (j == i) for j, e in enumerate(m)): c for m, c in r.items()}
+            ref_add_row(pivots, ref_truncate(shifted, box), p)
+    return [r for r in rows if ref_add_row(pivots, r, p)]
+
+
+def root_local_reference(polys: list[dict], p: int, box: int) -> list[dict]:
+    """local_generators(echelonize(root pieces)) of the p-th root step of a
+    nu probe, over exponent tuples: the pieces of each polynomial in turn
+    (ref_root_pieces), their echelon, and the rows kept at the origin."""
+    pieces = [piece for f in polys for piece in ref_root_pieces(f, p)]
+    return ref_local_generators(ref_linear_reduce(pieces, p), box, p)
 
 
 def ref_normal_form(f: dict, divisors: list[dict], p: int) -> dict:

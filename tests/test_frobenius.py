@@ -31,6 +31,7 @@ from fthresholds.reduction import truncate_ideal
 
 from conftest import (
     cusp_nu_oracle,
+    diagonal_fpt,
     eager_powers,
     escapes_oracle,
     expanded_power,
@@ -850,6 +851,31 @@ def test_fpt_point_where_the_bounds_meet(monkeypatch):
     # At p = 5 (mod 6), fpt = 5/6 - 1/(6p): the bounds stay apart.
     for p in (5, 11):
         assert point(cusp(p), 2) is None, p
+
+
+def test_diagonal_curves_match_the_closed_form():
+    """x^a + y^b, 2 <= a <= b <= 7, at every q = p^e <= 3000 with
+    p in {2, 3, 5, 7, 11, 13}: the closed form of Hernandez (diagonal_fpt)
+    lies in the enclosure and is at least nu/(q - 1), and every point that
+    fpt_point returns equals it.  The enclosures come from the digit root's
+    probes, so this pins its root steps to a source that shares no code."""
+    rows = points = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        for a, b in itertools.combinations_with_replacement(range(2, 8), 2):
+            I = ideal([f"x^{a} + y^{b}"], p=p)
+            fpt = diagonal_fpt((a, b), p)
+            e = 1
+            while p**e <= 3000:
+                enc = fpt_enclosure(I, e)
+                assert enc.low <= fpt <= enc.high, (a, b, p, e)
+                assert Fraction(enc.nu, p**e - 1) <= fpt, (a, b, p, e)
+                found = fpt_point(I, enc)
+                if found is not None:
+                    assert found == fpt, (a, b, p, e)
+                    points += 1
+                rows += 1
+                e += 1
+    assert (rows, points) == (672, 90)
 
 
 @given(st.integers(0, 10**6))

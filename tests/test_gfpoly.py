@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from fthresholds.errors import DomainError
 from fthresholds.exact import prime_power
-from fthresholds.frobenius import _root_step, frobenius_root
-from fthresholds.gfpoly import (GFPoly, _divides, _lcm, _pack, _unpack, _width, drl_key, echelonize,
-                                local_generators)
+from fthresholds.frobenius import frobenius_root
+from fthresholds.gfpoly import (GFPoly, _add_row, _divides, _lcm, _pack, _unpack, _width, drl_key,
+                                echelonize, local_generators, root_echelon, root_local_generators)
 from fthresholds.groebner import Ideal, normal_form
 from fthresholds.parsing import parse_gfpoly
 
@@ -19,6 +19,7 @@ from conftest import (
     drl,
     pow_truncate_oracle,
     rand_gfpoly,
+    ref_add_row,
     ref_linear_reduce,
     ref_mul,
     ref_mul_term,
@@ -26,6 +27,7 @@ from conftest import (
     ref_normal_form,
     ref_root_pieces,
     ref_truncate,
+    root_local_reference,
 )
 
 
@@ -281,7 +283,7 @@ def test_roots_match_tuple_reference(seed):
     # One Frobenius level with p: echelon rows span the pieces' ideal, and are
     # exactly the rows of the reference elimination.
     pieces_p = [piece for f in polys for piece in ref_root_pieces(as_dict(f), p)]
-    step = _root_step(polys, n, p, p)
+    step = root_echelon(polys, n, p, p)
     assert [as_dict(g) for g in step] == ref_linear_reduce(pieces_p, p)
     assert (Ideal(step, n=n, p=p).groebner_basis()
             == Ideal([GFPoly.make(n, p, r.items()) for r in pieces_p], n=n, p=p).groebner_basis())
@@ -348,3 +350,78 @@ def test_local_generators_lie_in_the_ideal_and_span_it_locally(seed):
               for g in rows for i in range(n)]
     rank = len(echelonize(shifts + kept, n, p))
     assert len(echelonize(shifts + kept + rows, n, p)) == rank
+
+
+def test_add_row_one_term_fast_path_examples():
+    w = _width(2)
+    x, y, xy = _pack((1, 0), w), _pack((0, 1), w), _pack((1, 1), w)
+    pivots = {}
+    assert _add_row(pivots, {x: 3}, 7) and pivots == {x: {x: 1}}
+    assert not _add_row(pivots, {x: 5}, 7)
+    # A one-term row on a pivot with more terms runs the general loop:
+    # 2 x y - 2 (x y + 3 y) = -6 y, whose monic form is the new pivot y.
+    pivots[xy] = {xy: 1, y: 3}
+    assert _add_row(pivots, {xy: 2}, 7) and pivots[y] == {y: 1}
+    assert not _add_row(pivots, {xy: 4}, 7)
+    assert pivots == {x: {x: 1}, xy: {xy: 1, y: 3}, y: {y: 1}}
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_add_row_matches_the_general_loop(seed):
+    """_add_row, fast path included, makes the pivots and answers of the
+    reference loop, on rows mixing one-term rows with polynomials that put
+    several terms under the leads those rows land on."""
+    rng = random.Random(seed)
+    n, p = rng.randint(1, 3), rng.choice([2, 3, 5, 7, 11])
+    rows = []
+    for _ in range(rng.randint(1, 20)):
+        if rng.random() < 0.6:
+            mono = tuple(rng.randint(0, 2) for _ in range(n))
+            rows.append(GFPoly.make(n, p, [(mono, rng.randint(1, p - 1))]))
+        else:
+            rows.append(rand_gfpoly(rng, n, p, max_deg=2, max_terms=4))
+    w = _width(n)
+    pivots, ref = {}, {}
+    for g in rows:
+        assert _add_row(pivots, g._terms, p) == ref_add_row(ref, as_dict(g), p)
+        assert {_unpack(m, n, w): {_unpack(k, n, w): c for k, c in piv.items()}
+                for m, piv in pivots.items()} == ref
+
+
+def step_products(rng: random.Random, n: int, p: int, box: int) -> list[GFPoly]:
+    """Products like those of a nu probe's root step, truncated to box p.
+    Sparse ones have terms spread over many residues mod p, so most of their
+    root pieces are monomials; dense ones are products of full polynomials of
+    low degree, whose pieces share residues; a repeated product repeats every
+    one-term pivot."""
+    polys = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            f = GFPoly.make(n, p, [(tuple(rng.randrange(box) for _ in range(n)),
+                                    rng.randint(1, p - 1)) for _ in range(rng.randint(1, 12))])
+        else:
+            f = rand_gfpoly(rng, n, p, max_deg=3, max_terms=8)
+            for _ in range(rng.randint(0, 2)):
+                f = f.mul_truncated(rand_gfpoly(rng, n, p, max_deg=3, max_terms=8), box)
+        polys.append(f.truncate(box))
+        if rng.random() < 0.2:
+            polys.append(polys[-1])
+    return polys
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=150, deadline=None)
+def test_root_local_generators_match_the_composition(seed):
+    """The fused root step returns the rows, in order, of local_generators of
+    echelonize of the root pieces, and both match the reference over
+    exponent tuples, whose echelon has no one-term shortcut (n <= 3,
+    p <= 11, the products in box p^(k+1) and the next box p^k)."""
+    rng = random.Random(seed)
+    n, p, k = rng.randint(1, 3), rng.choice([2, 3, 5, 7, 11]), rng.randint(0, 2)
+    box = p**k
+    polys = step_products(rng, n, p, box * p)
+    fused = root_local_generators(polys, n, p, box)
+    pieces = [piece for f in polys for piece in f.root_pieces(p)]
+    assert fused == local_generators(echelonize(pieces, n, p), box)
+    assert [as_dict(g) for g in fused] == root_local_reference([as_dict(f) for f in polys], p, box)
