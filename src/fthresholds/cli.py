@@ -175,6 +175,10 @@ def _cmd_truncation(args) -> int:
     issues: list[SweepIssue] = []
     records = truncation_table(ideal, primes, args.qmax, args.dmin, args.dmax, issues)
     capped = _warn_skipped(issues)
+    if not records:
+        if capped:
+            return EXIT_CAPACITY
+        raise DomainError("empty table: no prime gave a row")
     all_ok = all(r.ok for r in records)
     payload = {
         "records": [{

@@ -43,7 +43,7 @@ def is_prime(p: int) -> bool:
 def parse_primes(text: str) -> list[int]:
     """Either "a..b" (all primes in the range) or a comma list "5,7,11".
 
-    A range must end below PRIME_LIMIT and hold at least one prime."""
+    A range must end below PRIME_LIMIT; either form must give a prime."""
     text = text.strip()
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
@@ -58,13 +58,13 @@ def parse_primes(text: str) -> list[int]:
             first = max(d * d, -(-start // d) * d)
             sieve[first - start::d] = bytes(len(range(first, hi + 1, d)))
         primes = list(itertools.compress(range(start, hi + 1), sieve))
-        if not primes:
-            raise DomainError(f"no primes in {lo}..{hi}")
-        return primes
-    primes = [int(s) for s in text.split(",") if s.strip()]
-    for p in primes:
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
+    else:
+        primes = [int(s) for s in text.split(",") if s.strip()]
+        for p in primes:
+            if not is_prime(p):
+                raise DomainError(f"{p} is not prime")
+    if not primes:
+        raise DomainError(f"no primes in {text}")
     return primes
 
 

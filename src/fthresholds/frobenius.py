@@ -42,7 +42,6 @@ from .gfpoly import (GFPoly, drl_key, echelonize, monomials_ascending, root_eche
 from .groebner import Ideal, MonomialIdeal
 from .newton import NewtonPolytope, multiplier_ideal_monomial
 
-TERM_CAP = 200_000
 NODE_CAP = 1_000_000
 POWER_TABLE_CAP = 4_000_000
 
@@ -506,8 +505,8 @@ class _MonomialPacking:
         return best
 
 
-def _nu_split(f: GFPoly | None, points: list[tuple], n: int, p: int, e: int) -> int:
-    """nu for (f) + M, M generated by the monomials `points` (f = None: M alone).
+def _nu_split(f: GFPoly, points: list[tuple], n: int, p: int, e: int) -> int:
+    """nu for (f) + M, M generated by the monomials `points`.
 
     A generator product f^i x^mu, with mu a sum of j generators of M, lies
     outside m^[q] iff some term x^c of f^i has c + mu <= q - 1 componentwise:
@@ -535,8 +534,7 @@ def _nu_split(f: GFPoly | None, points: list[tuple], n: int, p: int, e: int) -> 
     def cap(i: int) -> int:
         return limit - mdeg * (best + 1 - i)
 
-    powers = [GFPoly.one(n, p)] if f is None else truncated_powers(f, e, TERM_CAP, cap)
-    for i, t in enumerate(powers):
+    for i, t in enumerate(truncated_powers(f, e, cap)):
         for c in monomials_ascending(t):
             if sum(c) > cap(i):
                 break
@@ -557,10 +555,10 @@ def nu(a: Ideal, e: int) -> NuValue:
     them and one left zero goes.  The two exact routes:
 
       * at most one generator that is not a monomial, and at least one
-        monomial: the Frobenius-split route (_nu_split) for (f) + M, truncated
-        powers of f against nu_M, read in closed form when M holds every
-        monomial of its least degree and otherwise by a branch-and-bound over
-        the monomials M; TERM_CAP bounds each power, NODE_CAP the search;
+        monomial: nu_M(q-1, ..., q-1) for M alone, else the split route
+        (_nu_split) for (f) + M, truncated powers of f against nu_M, which is
+        read in closed form for a full M, else by a branch-and-bound; TERM_CAP
+        bounds each power and the chained levels' memory, NODE_CAP the search;
       * every other ideal: the digit root (_nu_root), over a table of a^t
         modulo m^[p^e], t <= k(p-1), whose entries are built on first read
         and whose terms are capped by POWER_TABLE_CAP.  Level 1 scans the
@@ -589,14 +587,13 @@ def nu(a: Ideal, e: int) -> NuValue:
     if mono_gens:
         reduced = (g if g.is_monomial() else g.remainder(mono_gens) for g in gens)
         gens = [g for g in reduced if not g.is_zero]
-    if split:
-        others = [g for g in gens if not g.is_monomial()]
-        f = others[0] if others else None
-        monos = [g.lead_monomial() for g in gens if g.is_monomial()]
-        value = _nu_split(f, monos, a.n, a.p, e)
-    else:
-        value = _nu_root(gens, e)
-    return NuValue(q, value)
+    if not split:
+        return NuValue(q, _nu_root(gens, e))
+    others = [g for g in gens if not g.is_monomial()]
+    monos = [g.lead_monomial() for g in gens if g.is_monomial()]
+    if not others:
+        return NuValue(q, _MonomialPacking(monos).solve((q.q - 1,) * a.n))
+    return NuValue(q, _nu_split(others[0], monos, a.n, a.p, e))
 
 
 def fpt_enclosure(a: Ideal, e: int) -> FptEnclosure:

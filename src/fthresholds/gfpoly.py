@@ -49,6 +49,7 @@ from .errors import CapacityError, DomainError
 from .exact import is_prime
 
 EXPONENT_LIMIT = 2**32
+TERM_CAP = 200_000
 
 Monomial = tuple  # tuple[int, ...], one entry per variable
 
@@ -832,8 +833,7 @@ def root_local_generators(polys: Iterable[GFPoly], n: int, p: int, box: int) -> 
     return [GFPoly(n, p, t) for t in _local_rows(rows, n, p, box)]
 
 
-def truncated_powers(f: GFPoly, e: int, term_cap: int,
-                     cap: Callable[[int], int]) -> Iterator[GFPoly]:
+def truncated_powers(f: GFPoly, e: int, cap: Callable[[int], int]) -> Iterator[GFPoly]:
     """T_0, T_1, ...: T_k is f^k with every term having some exponent >= p^e
     dropped, and, when p does not divide k, every term of total degree
     > cap(k) too.  f must vanish at the origin and e be at least 1.
@@ -846,16 +846,17 @@ def truncated_powers(f: GFPoly, e: int, term_cap: int,
     term of (f^b)^[p] leaves the box p^L iff its term of f^b leaves the box
     p^(L-1), and products only raise exponents.
 
-    The levels below e are built in full, because their powers are multiplied
-    again, and end at their first zero.  Level e is yielded as it is built,
-    and its powers are leaves: nothing multiplies them again, so dropping
-    terms of high degree there loses nothing but those terms.  cap(k) is asked
+    The levels are chained, each a generator that reads the level below as
+    it goes: beside the factors f^a, a lifted power and a product per level
+    are alive, so TERM_CAP, which bounds each power, bounds the memory.  A
+    level below e is exact, ends at its first zero and stops once the level
+    above ends.  Level e's powers are leaves, multiplied by nothing, so
+    dropping their terms of high degree loses nothing else.  cap(k) is asked
     just before T_k, p not dividing k, is built, so it may depend on what the
     caller read of T_0..T_(k-1).  T_(p b) = T_b^[p] needs no product and is
-    yielded whole.  A power truncated by degree may be zero while later ones
-    are not, so level e runs to the end of the level below it: at most
-    K + p powers when T_K is the last nonzero truncation to the box.  Raises
-    CapacityError when some T_k has more than term_cap terms.
+    yielded whole.  A power cut by degree may be zero while later ones are
+    not, so level e runs through the level below it: at most K + p powers
+    when T_K is the last nonzero truncation.
     """
     if not f.vanishes_at_origin():
         raise DomainError("truncated powers need f to vanish at the origin")
@@ -865,16 +866,16 @@ def truncated_powers(f: GFPoly, e: int, term_cap: int,
     small = [one]  # trunc_q(f^a) for a < p
     for _ in range(p - 1):
         small.append(small[-1].mul_truncated(f, qv))
-    level = [one]
+    level: Iterable[GFPoly] = [one]
     for L in range(1, e):
-        level = list(_split_level(level, small, p**L, term_cap, None))
-    return _split_level(level, small, qv, term_cap, cap)
+        level = _split_level(level, small, p**L, None)
+    return _split_level(level, small, qv, cap)
 
 
-def _split_level(level: list[GFPoly], small: list[GFPoly], bound: int, term_cap: int,
+def _split_level(level: Iterable[GFPoly], small: list[GFPoly], bound: int,
                  cap: Callable[[int], int] | None) -> Iterator[GFPoly]:
-    """T_0, T_1, ... in the box `bound` from the T_b in the box bound / p;
-    small[a] is f^a, possibly truncated above `bound`.
+    """T_0, T_1, ... in the box `bound` from the T_b in the box bound / p,
+    read one at a time; small[a] is f^a, possibly truncated above `bound`.
 
     Without cap the powers are exact and end at the first zero: f^k in
     m^[bound] puts every higher power there too.  With cap, each product T_k
@@ -882,7 +883,8 @@ def _split_level(level: list[GFPoly], small: list[GFPoly], bound: int, term_cap:
     and changes no kept coefficient, so it is sound only for powers that are
     read and never multiplied again: the last level.  A zero product then
     proves nothing about the next, so the level runs through every T_b given,
-    and ends early only when some factor f^a itself leaves the box.
+    and ends early only when some factor f^a itself leaves the box.  Raises
+    CapacityError when a product has more than TERM_CAP terms.
     """
     p = len(small)
     factors = [s.truncate(bound) for s in small[1:]]
@@ -892,14 +894,11 @@ def _split_level(level: list[GFPoly], small: list[GFPoly], bound: int, term_cap:
         for a, fa in enumerate(factors, start=1):
             if fa.is_zero:
                 return
-            if cap is None:
-                prod = fa.mul_truncated(lifted, bound)
-                if prod.is_zero:
-                    return
-            else:
-                prod = fa.mul_truncated(lifted, bound, cap(a + p * b))
-            if len(prod._terms) > term_cap:
-                raise CapacityError(f"term cap of {term_cap} exceeded in a truncated power")
+            prod = fa.mul_truncated(lifted, bound, None if cap is None else cap(a + p * b))
+            if cap is None and prod.is_zero:
+                return
+            if len(prod._terms) > TERM_CAP:
+                raise CapacityError(f"term cap of {TERM_CAP} exceeded in a truncated power")
             yield prod
 
 

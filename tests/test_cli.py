@@ -335,3 +335,20 @@ def test_capacity_cap_exits_2_in_both_experiments(monkeypatch, capsys):
     assert code == EXIT_CAPACITY
     assert [(r["p"], r["d"]) for r in json.loads(captured.out)["records"]] == [(5, 3)]
     assert captured.err.startswith("warning: p=11 skipped (capacity)")
+
+
+def test_truncation_without_a_row_exits_as_sweep(monkeypatch, capsys):
+    # Every prime above q_max: no row, exit 1 and nothing on stdout, as
+    # sweep's empty report.
+    for command in ("sweep", "truncation"):
+        code = dispatch([command, "--gens", "x^2+y^3", "-n", "2", "--primes", "101..110",
+                         "--qmax", "100"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert "error: empty" in captured.err
+    # Every prime skipped at a capacity cap: exit 2, and again no table.
+    monkeypatch.setattr(frobenius, "NODE_CAP", 1000)
+    code = dispatch(["truncation", "--gens", "9*x+5*y, 6*x*y", "-n", "2", "--qmax", "200",
+                     "--primes", "11"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CAPACITY and captured.out == ""

@@ -110,6 +110,13 @@ def test_parse_primes():
     assert time.perf_counter() - start < 0.5
 
 
+def test_parse_primes_rejects_a_list_without_primes():
+    # As an empty range is refused, so is a comma list that names no prime.
+    for text in (",", " , ,", ""):
+        with pytest.raises(DomainError, match="no primes in"):
+            parse_primes(text)
+
+
 def test_parse_primes_wide_range_is_sieved():
     cached = is_prime.cache_info().currsize
     assert len(parse_primes("2..3000000")) == 216816

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fthresholds import frobenius
+from fthresholds import frobenius, gfpoly
 from fthresholds.errors import CapacityError, DomainError
 from fthresholds.exact import prime_power
 from fthresholds.frobenius import (
@@ -722,6 +722,24 @@ def test_nu_root_memory_is_bounded_by_the_basis():
     assert peak < 2 * 10**6
 
 
+def test_nu_split_memory_is_bounded_by_the_chain():
+    # Each level of the truncated powers reads the level below as it goes,
+    # so only a lifted power and a product per level are alive: about 0.1 MB
+    # here, where listing each level below the last in full took 1.5 MB.
+    a = truncate_ideal(cusp(5), 4)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        assert nu(a, 5).nu == 2577
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 5 * 10**5
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
 def test_truncated_powers_match_repeated_products(seed):
@@ -740,7 +758,7 @@ def test_truncated_powers_match_repeated_products(seed):
         t = t.mul_truncated(f, qv)
     # A cap no term of the box exceeds keeps the chain whole; the last level
     # runs to the end of the level below it, so zeros may follow the chain.
-    got = list(truncated_powers(f, e, 10**6, lambda k: n * (qv - 1)))
+    got = list(truncated_powers(f, e, lambda k: n * (qv - 1)))
     assert got[:len(chain)] == chain
     assert len(got) < len(chain) + p
     assert all(t.is_zero for t in got[len(chain):])
@@ -753,7 +771,7 @@ def test_truncated_powers_match_repeated_products(seed):
         caps[k] = rng.randint(-1, n * (qv - 1))
         return caps[k]
 
-    got = list(truncated_powers(f, e, 10**6, cap))
+    got = list(truncated_powers(f, e, cap))
     assert len(got) < len(chain) + p
     for k, t in enumerate(got):
         want = chain[k] if k < len(chain) else GFPoly.zero(n, p)
@@ -767,7 +785,7 @@ def test_nu_split_capacity(monkeypatch):
     m5 = truncate_ideal(cusp(7), 5)
     # At 7^2 every power is built at the last level, where the degree cap
     # leaves fewer than 3 terms; at 7^3 the uncapped level below exceeds 3.
-    monkeypatch.setattr(frobenius, "TERM_CAP", 3)
+    monkeypatch.setattr(gfpoly, "TERM_CAP", 3)
     with pytest.raises(CapacityError, match="term cap"):
         nu(m5, 3)
     monkeypatch.undo()
@@ -854,28 +872,33 @@ def test_fpt_point_where_the_bounds_meet(monkeypatch):
 
 
 def test_diagonal_curves_match_the_closed_form():
-    """x^a + y^b, 2 <= a <= b <= 7, at every q = p^e <= 3000 with
-    p in {2, 3, 5, 7, 11, 13}: the closed form of Hernandez (diagonal_fpt)
-    lies in the enclosure and is at least nu/(q - 1), and every point that
-    fpt_point returns equals it.  The enclosures come from the digit root's
-    probes, so this pins its root steps to a source that shares no code."""
-    rows = points = 0
-    for p in (2, 3, 5, 7, 11, 13):
-        for a, b in itertools.combinations_with_replacement(range(2, 8), 2):
-            I = ideal([f"x^{a} + y^{b}"], p=p)
-            fpt = diagonal_fpt((a, b), p)
-            e = 1
-            while p**e <= 3000:
-                enc = fpt_enclosure(I, e)
-                assert enc.low <= fpt <= enc.high, (a, b, p, e)
-                assert Fraction(enc.nu, p**e - 1) <= fpt, (a, b, p, e)
-                found = fpt_point(I, enc)
-                if found is not None:
-                    assert found == fpt, (a, b, p, e)
-                    points += 1
-                rows += 1
-                e += 1
-    assert (rows, points) == (672, 90)
+    """x^a + y^b, 2 <= a <= b <= 7, and x^a + y^b + z^c, 2 <= a <= b <= c <= 7,
+    at every q = p^e <= 3000 with p in {2, 3, 5, 7, 11, 13}: the closed form
+    of Hernandez (diagonal_fpt) lies in the enclosure and is at least
+    nu/(q - 1), and every point that fpt_point returns equals it.  The
+    enclosures come from the digit root's probes, so this pins its root steps
+    to a source that shares no code."""
+    counts = {}
+    for n in (2, 3):
+        rows = points = 0
+        for p in (2, 3, 5, 7, 11, 13):
+            for exps in itertools.combinations_with_replacement(range(2, 8), n):
+                f = " + ".join(f"{v}^{a}" for v, a in zip("xyz", exps))
+                I = ideal([f], n=n, p=p)
+                fpt = diagonal_fpt(exps, p)
+                e = 1
+                while p**e <= 3000:
+                    enc = fpt_enclosure(I, e)
+                    assert enc.low <= fpt <= enc.high, (exps, p, e)
+                    assert Fraction(enc.nu, p**e - 1) <= fpt, (exps, p, e)
+                    found = fpt_point(I, enc)
+                    if found is not None:
+                        assert found == fpt, (exps, p, e)
+                        points += 1
+                    rows += 1
+                    e += 1
+        counts[n] = rows, points
+    assert counts == {2: (672, 90), 3: (1792, 245)}
 
 
 @given(st.integers(0, 10**6))
