@@ -75,11 +75,14 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "n/d" or a bare integer "n" (meaning n/1)."""
+    """Parse "n/d" or a bare integer "n" (meaning n/1); d must not be 0."""
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise DomainError(f"not a rational: {text!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise DomainError(f"zero denominator in {text!r}") from None
 
 
 @dataclass(frozen=True)

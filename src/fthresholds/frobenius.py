@@ -359,7 +359,8 @@ def frobenius_root_principal_power(f: GFPoly, N: int, q: PrimePower) -> Ideal:
 
 def _term_lct(gens: list[GFPoly]) -> Fraction:
     """lct(T) for the term ideal T of `gens`, an upper bound for fpt (the
-    _nu_root docstring defines T and proves the bound)."""
+    _nu_root docstring defines T and proves the bound).  The polytope of a
+    term set is shared, so the probes of every prime build its facets once."""
     points = [m for g in gens for m in g.terms]
     W, L = NewtonPolytope.from_points(points, gens[0].n).facets
     return Fraction(min(sum(w) for w in W), L)

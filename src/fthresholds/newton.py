@@ -17,7 +17,7 @@ ord_P(v) = min_k <w_k, v> over the vertices w_k of Q, the facet normals of P
 scaled to <w_k, .> = 1 on their facet.  Q is empty, and ord_P infinite, exactly
 when 0 is an exponent point.
 
-The vertices are found once per polytope by the double-description method
+The vertices are found once per point set by the double-description method
 (Motzkin et al. 1953; Fukuda-Prodon 1996) on the cone
 
     C = { (w, s) : w >= 0, s >= 0, <a_j, w> >= s },
@@ -38,6 +38,11 @@ and, for an integer vector v,
 
     ord_P(v) = min_k <W_k, v> / L.
 
+NewtonPolytope.from_points keeps the 256 most recently used polytopes, keyed
+by the point set and n.  Every call on a kept set returns the same frozen
+instance, whose facets are a cached property, so lct, multiplier ideals,
+jumping numbers and the digit root's term-ideal bound share one (W, L).
+
 Every box scan below is integer dot products and compares; a Fraction is made
 only for a value that is returned.
 
@@ -54,7 +59,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, total_ordering
+from functools import cached_property, lru_cache, total_ordering
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, DomainError
@@ -98,13 +103,11 @@ class NewtonPolytope:
 
     @classmethod
     def from_points(cls, points: Iterable[Monomial], n: int) -> "NewtonPolytope":
-        pts = [tuple(q) for q in points]
-        for q in pts:
-            if len(q) != n or any(e < 0 for e in q):
-                raise DomainError(f"bad exponent point {q} for n={n}")
-        # Dominated points (componentwise >= another) never support the lower
-        # boundary, so pruning them changes no order value.
-        return cls(minimize_points(pts), n)
+        """The polytope of a point set, one instance for every call on the
+        same set and n (in any order, with duplicates or dominated points)
+        while the set is among the 256 most recently used, so its facets are
+        computed once."""
+        return _polytope(frozenset(tuple(q) for q in points), n)
 
     @classmethod
     def from_monomial_ideal(cls, a: MonomialIdeal) -> "NewtonPolytope":
@@ -143,6 +146,21 @@ class NewtonPolytope:
         rays = [r for r, _ in rays if r[-1]]
         L = math.lcm(*(r[-1] for r in rays))
         return tuple(tuple(x * (L // r[-1]) for x in r[:-1]) for r in rays), L
+
+
+@lru_cache(maxsize=256)
+def _polytope(points: frozenset[Monomial], n: int) -> NewtonPolytope:
+    """NewtonPolytope.from_points, memoized on the point set and n."""
+    for q in sorted(points):
+        if len(q) != n or any(e < 0 for e in q):
+            raise DomainError(f"bad exponent point {q} for n={n}")
+    # Dominated points (componentwise >= another) never support the lower
+    # boundary, so pruning them changes no order value: a set with some
+    # shares the polytope of its minimal points.
+    minimal = minimize_points(points)
+    if len(minimal) < len(points):
+        return _polytope(frozenset(minimal), n)
+    return NewtonPolytope(minimal, n)
 
 
 def _check_box(side: int, dims: int, what: str) -> None:

@@ -90,6 +90,21 @@ def test_usage_errors(capsys):
         assert code == EXIT_USAGE and message in captured.err and captured.out == "", argv
 
 
+def test_zero_denominator_is_a_usage_error(capsys):
+    # Each rational option names the text it could not read, not Fraction(1, 0).
+    for argv in (
+        ["jumps", "--gens", "x^2,y^3", "-n", "2", "--bound", "1/0"],
+        ["mult-ideal", "--gens", "x^2,y^3", "-n", "2", "--lambda", "1/0"],
+        ["tau", "--gens", "x^2,y^3", "-n", "2", "-p", "7", "--lambda", "1/0"],
+        ["sweep", "--gens", "x^2+y^3", "-n", "2", "--primes", "5", "--qmax", "100",
+         "--target", "1/0"],
+    ):
+        code = dispatch(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == "", argv
+        assert captured.err == "error: zero denominator in '1/0'\n", argv
+
+
 def test_no_floating_point_in_output(capsys):
     for argv in (
         ["lct", "--gens", "x^2,y^3", "-n", "2"],

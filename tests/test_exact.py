@@ -63,6 +63,13 @@ def test_serialization():
         parse_rational("1.5")
 
 
+@pytest.mark.parametrize("text", ["1/0", "-3/00", " 0/0 "])
+def test_parse_rational_rejects_a_zero_denominator(text):
+    # The regex admits d = 0; Fraction would raise a bare ZeroDivisionError.
+    with pytest.raises(DomainError, match="zero denominator"):
+        parse_rational(text)
+
+
 def test_prime_power_examples():
     assert prime_power(7, 2).q == 49
     assert prime_power(2, 62).q == 2**62

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from fthresholds import newton
 from fthresholds.errors import DomainError
+from fthresholds.exact import parse_primes
 from fthresholds.experiment import (
     CSV_HEADER,
     SweepIssue,
@@ -19,7 +21,7 @@ from fthresholds.experiment import (
     sweep,
     truncation_table,
 )
-from fthresholds.frobenius import fpt_enclosure
+from fthresholds.frobenius import fpt_enclosure, fpt_point
 from fthresholds.reduction import IntegerIdeal, reduce_mod_p, truncate_ideal
 
 
@@ -155,3 +157,18 @@ def test_truncation_table_records():
     assert [(i.p, i.kind) for i in issues] == [(2, "degenerate"), (101, "no-exponent")]
     with pytest.raises(DomainError, match="distinct"):
         truncation_table(cusp(), [5, 5], 25, 3, 3)
+
+
+def test_one_polytope_for_every_prime_of_a_sweep():
+    # Every reduction of the cusp has the term set {x^2, y^3}, so the lct(T)
+    # cap of each prime's digit root reads the facets built for the first.
+    newton._polytope.cache_clear()
+    records = sweep(cusp(), parse_primes("5..47"), 10**5)
+    info = newton._polytope.cache_info()
+    assert len(records) == 13 and (info.misses, info.hits) == (1, 12)
+    a = reduce_mod_p(IntegerIdeal.from_strings(["x^3 + x*y^4 + y^5"], 2), 7)
+    newton._polytope.cache_clear()
+    enc = fpt_enclosure(a, 3)
+    fpt_point(a, enc)
+    assert newton._polytope.cache_info().misses == 1
+

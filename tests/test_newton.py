@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fthresholds.errors import CapacityError, DomainError
-from fthresholds.groebner import MonomialIdeal
+from fthresholds.groebner import MonomialIdeal, minimize_points
 from fthresholds.newton import (
     BOX_CAP,
     INFINITY,
@@ -295,3 +295,42 @@ def test_box_cap_refuses_before_scanning():
     # one prefix, whose u* the closed form gives at once.
     lam = Fraction(BOX_CAP - 1, 3)
     assert multiplier_ideal_monomial(MonomialIdeal([(3,)], 1), lam).gens == ((BOX_CAP - 1,),)
+
+
+def uncached_facets(points, n):
+    return NewtonPolytope(minimize_points(points), n).facets
+
+
+def test_one_polytope_per_point_set():
+    # Order, a duplicate and a dominated point leave the point set's minimal
+    # points, and so its polytope, the same object.
+    pts = [(2, 0, 1), (0, 3, 0), (1, 1, 1)]
+    P = poly(pts, 3)
+    for other in (pts[::-1], pts + [(0, 3, 0)], pts + [(2, 3, 1)], iter(pts)):
+        assert poly(other, 3) is P
+    assert P.facets == uncached_facets(pts, 3)
+    # The empty set is a point set of every n.
+    assert poly([], 2) is not poly([], 3)
+    assert (poly([], 2).n, poly([], 3).n) == (2, 3)
+
+
+def test_a_bad_point_raises_on_every_call():
+    # A failed build is not kept, and the sorted scan names the same point
+    # whatever the order given.
+    for pts in ([(0, -1), (-1, 0)], [(-1, 0), (0, -1)], [(-1, 0), (0, -1)]):
+        with pytest.raises(DomainError, match=r"bad exponent point \(-1, 0\) for n=2"):
+            poly(pts)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="for n=3"):
+            poly([(1, 2)], 3)
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=6))))
+@settings(max_examples=100, deadline=None)
+def test_cached_facets_match_a_fresh_polytope(case):
+    n, pts = case
+    P = poly(pts, n)
+    assert P.points == minimize_points(pts) and P.facets == uncached_facets(pts, n)
+    for other in (pts[::-1], sorted(pts), pts + pts[:1]):
+        assert poly(other, n) is P
