@@ -171,4 +171,3 @@ def test_one_polytope_for_every_prime_of_a_sweep():
     enc = fpt_enclosure(a, 3)
     fpt_point(a, enc)
     assert newton._polytope.cache_info().misses == 1
-

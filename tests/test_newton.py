@@ -317,10 +317,10 @@ def test_one_polytope_per_point_set():
 def test_a_bad_point_raises_on_every_call():
     # A failed build is not kept, and the sorted scan names the same point
     # whatever the order given.
-    for pts in ([(0, -1), (-1, 0)], [(-1, 0), (0, -1)], [(-1, 0), (0, -1)]):
-        with pytest.raises(DomainError, match=r"bad exponent point \(-1, 0\) for n=2"):
-            poly(pts)
     for _ in range(2):
+        for pts in ([(0, -1), (-1, 0)], [(-1, 0), (0, -1)]):
+            with pytest.raises(DomainError, match=r"bad exponent point \(-1, 0\) for n=2"):
+                poly(pts)
         with pytest.raises(DomainError, match="for n=3"):
             poly([(1, 2)], 3)
 
