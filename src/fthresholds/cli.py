@@ -21,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import CapacityError, DomainError, InvariantViolation, ParseError
+from .errors import CapacityError, DomainError, InvariantViolation
 from .exact import format_rational, parse_primes, parse_rational, prime_power
 from .frobenius import (
     fpt_enclosure,
@@ -246,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_ring_flags(p_froot)
     p_froot.set_defaults(func=_cmd_froot)
 
-    p_tau = sub.add_parser("tau", help="test ideal via the stabilizing chain")
+    p_tau = sub.add_parser("tau", help="test ideal: Howald's formula for a monomial ideal "
+                                       "(e_used 0), else the stabilizing chain")
     add_ring_flags(p_tau, with_e=False)
     p_tau.add_argument("--lambda", dest="lam", required=True, help='exponent "n/d"')
     p_tau.add_argument("--emax", type=int, default=6, help="maximum chain depth")
@@ -303,7 +304,7 @@ def dispatch(argv: list[str]) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, DomainError, ZeroDivisionError, OverflowError, ValueError) as exc:
+    except (OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapacityError as exc:

@@ -85,6 +85,10 @@ class FptEnclosure:
 
 @dataclass(frozen=True)
 class TestIdealResult:
+    """ideal is tau(a^lam) when stabilized, else the chain term of level
+    e_used = e_max, which lies inside it.  e_used is the last chain level
+    read, 0 when none was (a monomial ideal)."""
+
     ideal: Ideal
     lam: Fraction
     e_used: int
@@ -315,35 +319,14 @@ def _root_iterates(powers: _PowerTable, lam: Fraction, s: int, t: int) -> Iterat
         yield K_prev, K, lift(*_digit_root(powers, M, s, J)) if s else K
 
 
-def _monomial_power_root(mono: MonomialIdeal, N: int, q: PrimePower) -> MonomialIdeal:
-    """(M^N)^[1/q] for a monomial ideal M, by the digit identity of the module
-    docstring over a table of M^t, t <= k(p-1), k the size of M's antichain.
-    The root of a monomial ideal floors its exponents, so each level is one
-    product of antichains and one floor, and M^N is never expanded."""
-    p, unit = q.p, MonomialIdeal([(0,) * mono.n], mono.n)
-    top, one_level = len(mono.gens) * (p - 1), prime_power(p, 1)
-    powers = [unit]
-    while len(powers) <= min(N, top):
-        powers.append(powers[-1] * mono)
-    digits, M = _digits(N, q.e, top, p)
-    J = unit
-    for t in digits:
-        J = (powers[t] * J).floor_root(one_level)
-    return mono.pow(M) * J
-
-
 def _power_root(a: Ideal, N: int, q: PrimePower, powers: _PowerTable | None = None) -> Ideal:
-    """(a^N)^[1/q]: exponent floors for a monomial ideal with several
-    generators (_monomial_power_root), the digit root over `powers` (by
-    default a new _PowerTable of a's generators, without a box) otherwise."""
+    """(a^N)^[1/q] by the digit root over `powers` (by default a new
+    _PowerTable of a's generators, without a box)."""
     if N == 0:
         return Ideal([GFPoly.one(a.n, a.p)], n=a.n, p=a.p)
     if a.is_zero:
         return Ideal([], n=a.n, p=a.p)
     gens = list(a.gens)
-    if len(gens) > 1 and all(g.is_monomial() for g in gens):
-        return _monomial_power_root(MonomialIdeal([g.lead_monomial() for g in gens], a.n),
-                                    N, q).to_ideal(a.p)
     J, M = _digit_root(_PowerTable(gens) if powers is None else powers, N, q.e)
     return Ideal(_times_power(gens, M, J), n=a.n, p=a.p)
 
@@ -626,15 +609,17 @@ def _denominator_period(lam: Fraction, p: int, t_max: int) -> tuple[int, int | N
 
 
 def test_ideal(a: Ideal, lam: Fraction, e_max: int) -> TestIdealResult:
-    """tau(a^lam) via the ascending chain I_e = (a^ceil(lam p^e))^[1/p^e].
+    """tau(a^lam).  For a nonzero monomial ideal it is the multiplier ideal
+    in every characteristic (Hara-Yoshida 2003, Theorem 4.8), read from
+    Howald's formula (newton.multiplier_ideal_monomial) with no chain level:
+    e_used = 0 and stabilized = True.  Otherwise it is the limit of the
+    ascending chain I_e = (a^ceil(lam p^e))^[1/p^e].
 
-    The chain is verified ascending at every step and reaches tau(a^lam).  It
-    stops (stabilized=True) only when a term is known to be the limit: a unit
-    term, since the chain can only grow; for principal ideals (f), the fixed
-    point below; for monomial ideals, a term equal to the multiplier ideal,
-    which is tau(a^lam) in every characteristic (Hara-Yoshida 2003, Theorem
-    4.8).  Two equal consecutive terms prove nothing in general, so
-    otherwise the chain runs to e_max and reports stabilized=False.
+    The chain is verified ascending at every step.  It stops (stabilized=True)
+    only when a term is known to be the limit: a unit term, since the chain
+    can only grow, or for principal ideals (f), the fixed point below.  Two
+    equal consecutive terms prove nothing in general, so otherwise the chain
+    runs to e_max and reports stabilized=False.
 
     Fixed point.  With (s, t) from _denominator_period, lam = u/p^s (t = 0)
     makes every term from level s on (f^u)^[1/p^s], which is tau(f^lam)
@@ -645,7 +630,7 @@ def test_ideal(a: Ideal, lam: Fraction, e_max: int) -> TestIdealResult:
     (_root_iterates): once K_(k-1) = K_k the sequence is constant, so the
     chain, which ascends to tau(f^lam), has reached it.  As s + tk >= t, t is
     searched to e_max; no K is made before level s + t.  All levels read one
-    _PowerTable of a, with no box; _monomial_power_root and the zero ideal none.
+    _PowerTable of a, with no box; the zero ideal none.
     """
     lam = Fraction(lam)
     if lam < 0:
@@ -654,11 +639,13 @@ def test_ideal(a: Ideal, lam: Fraction, e_max: int) -> TestIdealResult:
         raise DomainError("e_max must be >= 1")
     prime_power(a.p, e_max)  # validates p^e_max < 2^63
     gens = list(a.gens)
-    monomial = not a.is_zero and all(g.is_monomial() for g in gens)
-    powers = None if a.is_zero or (monomial and len(gens) > 1) else _PowerTable(gens)
+    if not a.is_zero and all(g.is_monomial() for g in gens):
+        mono = MonomialIdeal([g.lead_monomial() for g in gens], a.n)
+        return TestIdealResult(multiplier_ideal_monomial(mono, lam).to_ideal(a.p), lam, 0, True)
+    powers = None if a.is_zero else _PowerTable(gens)
     s, t = _denominator_period(lam, a.p, e_max)
     fixed = _root_iterates(powers, lam, s, t) if len(gens) == 1 and t else None
-    howald = prev = None
+    prev = None
     for e in range(1, e_max + 1):
         K = None
         if fixed is not None and e > s and (e - s) % t == 0:
@@ -670,12 +657,6 @@ def test_ideal(a: Ideal, lam: Fraction, e_max: int) -> TestIdealResult:
         if (current.is_unit() or a.is_zero or (len(gens) == 1 and t == 0 and e >= s)
                 or (K is not None and K.equals(K_next))):
             return TestIdealResult(current, lam, e, True)
-        if monomial:
-            if howald is None:
-                points = [g.lead_monomial() for g in gens]
-                howald = multiplier_ideal_monomial(MonomialIdeal(points, a.n), lam).to_ideal(a.p)
-            if current.equals(howald):
-                return TestIdealResult(current, lam, e, True)
         prev = current
     return TestIdealResult(prev, lam, e_max, False)
 

@@ -234,18 +234,28 @@ def multiplier_ideal_monomial(a: MonomialIdeal, lam: Fraction) -> MonomialIdeal:
         u* = max(0, max over k with c_k > 0 of floor((N - s_k D) / (c_k D))).
 
     A scan of u = 0..cap finds u* when u* <= cap and no point otherwise, so the
-    point is kept iff u* <= cap.  With W empty (0 is an exponent point) no row
-    constrains u, every prefix gives u* = 0, and the ideal is the unit ideal.
+    point is kept iff u* <= cap.
+
+    Two answers come before the box check, so neither depends on its size.
+    A principal ideal (x^v) has P = v + orthant, so x^u passes iff
+    u_i + 1 > lam v_i wherever v_i > 0, and the ideal is (x^floor(lam v)),
+    the unit ideal for v = 0, the one case with W empty.  Otherwise the
+    ideal is the unit ideal iff the origin passes, that is iff
+    N < D min_k <W_k, 1>, which says lam < lct.
     """
     lam = Fraction(lam)
     if a.is_zero:
         raise DomainError("multiplier ideal of the zero ideal is not defined here")
     if lam < 0:
         raise DomainError("exponent must be >= 0")
+    if len(a.gens) == 1:
+        return MonomialIdeal([tuple(lam.numerator * x // lam.denominator for x in a.gens[0])], a.n)
     W, L = NewtonPolytope.from_monomial_ideal(a).facets
+    N, D = lam.numerator * L, lam.denominator
+    if N < D * min(sum(w) for w in W):
+        return MonomialIdeal([(0,) * a.n], a.n)
     cap = _membership_box(a, lam)
     _check_box(cap + 1, a.n, "the multiplier ideal")
-    N, D = lam.numerator * L, lam.denominator
     rows = [(w[:-1], w[-1] * D) for w in W]
     points = []
     for prefix in itertools.product(range(cap + 1), repeat=a.n - 1):

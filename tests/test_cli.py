@@ -6,6 +6,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from fthresholds import cli, frobenius
 from fthresholds.cli import EXIT_CAPACITY, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, dispatch
 from fthresholds.experiment import SweepIssue, sweep
@@ -124,6 +126,30 @@ def test_sweep_command(tmp_path: Path, capsys):
     payload = json.loads(out_path.read_text())
     assert payload["below_lct_ok"] is True
     assert [r["p"] for r in payload["records"]] == [5, 7, 11]
+
+
+def test_sweep_out_that_cannot_be_written_is_a_usage_error(tmp_path: Path, capsys):
+    # A missing directory or a directory in place of the file: "error: ...",
+    # exit 1, and no traceback, where the whole sweep has already run.
+    for target, reason in ((tmp_path / "missing" / "report.json", "No such file"),
+                           (tmp_path, "Is a directory")):
+        code = dispatch(["sweep", "--gens", "x^2+y^3", "-n", "2", "--primes", "5",
+                         "--qmax", "30", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE and captured.out == ""
+        assert captured.err.startswith("error: ") and reason in captured.err
+        assert "Traceback" not in captured.err
+
+
+def test_a_program_fault_is_not_a_usage_error(monkeypatch):
+    # Only the errors a bad input raises are reported as usage errors; a
+    # ZeroDivisionError from the program itself must surface as what it is.
+    def broken(*args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "lct_monomial", broken)
+    with pytest.raises(ZeroDivisionError):
+        dispatch(["lct", "--gens", "x^2,y^3", "-n", "2"])
 
 
 def test_sweep_stdout_and_csv(tmp_path: Path, capsys):
@@ -292,11 +318,12 @@ def test_box_cap_exits_2_before_scanning():
 
 
 def test_tau_of_a_monomial_ideal_at_a_large_power(capsys):
-    # The chain reads (M^4802)^[1/7^3]; M^N is never expanded.
+    # tau of a monomial ideal is its multiplier ideal (Hara-Yoshida), read
+    # from Howald's formula: no chain level, so e_used is 0.
     code, out = run(capsys, "tau", "--gens", "x^2,y^3,x*y", "-n", "2", "-p", "7",
                     "--lambda", "18/11", "--emax", "3")
     assert code == EXIT_OK
-    assert out == ('{"ideal": ["x^2", "x*y", "y^2"], "lambda": "18/11", "e_used": 3, '
+    assert out == ('{"ideal": ["x^2", "x*y", "y^2"], "lambda": "18/11", "e_used": 0, '
                    '"stabilized": true}\n')
 
 

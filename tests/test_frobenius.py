@@ -1086,13 +1086,52 @@ def test_error_and_edge_paths():
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
-def test_monomial_power_root_matches_expansion(seed):
-    """(M^N)^[1/q] by the digit identity equals the floor root of M^N expanded."""
+def test_tau_of_a_monomial_ideal_is_howalds_ideal(seed):
+    """tau(M^lam) of a monomial ideal M is {x^u : ord_P(u + 1) > lam}, each
+    order from its own LP, and contains the chain terms (M^ceil(lam q))^[1/q]
+    expanded at q = p and p^2."""
     rng = random.Random(seed)
     n = rng.randint(1, 3)
-    mono = MonomialIdeal([tuple(rng.randint(0, 4) for _ in range(n))
-                          for _ in range(rng.randint(2, 4))], n)
-    p = rng.choice([2, 3, 5, 7])
-    q = prime_power(p, rng.choice([e for e in (1, 2, 3) if p**e <= 49]))
-    N = rng.randint(0, min(2 * q.q, 24))
-    assert frobenius._monomial_power_root(mono, N, q) == mono.pow(N).floor_root(q)
+    points = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+    points = [pt for pt in points if any(pt)] or [(2,) * n]
+    if rng.random() < 0.3:  # a dominated point, which changes nothing
+        points.append(tuple(x + rng.randint(0, 2) for x in rng.choice(points)))
+    p = rng.choice([2, 3, 5, 7, 11])
+    den = rng.randint(1, 6)
+    lam = Fraction(rng.randint(0, 2 * den), den)
+    mono = MonomialIdeal(points, n)
+    result = tau_chain(mono.to_ideal(p), lam, 2)
+    assert (result.e_used, result.stabilized) == (0, True)
+    assert all(g.is_monomial() for g in result.ideal.gens)
+    tau = MonomialIdeal([g.lead_monomial() for g in result.ideal.gens], n)
+    P = NewtonPolytope.from_points(points, n)
+    side = min(math.ceil(lam * max(map(max, points))) + 2, 7 if n < 3 else 4)
+    for u in itertools.product(range(side), repeat=n):
+        inside = order_lp(P, [e + 1 for e in u]).optimum > lam
+        assert tau.contains_monomial(u) == inside, (points, lam, u)
+    # Expanding M^N takes time quadratic in its antichain, which has about
+    # N^2 points in three variables, so a term is checked up to a bound on N.
+    for q in (prime_power(p, 1), prime_power(p, 2)):
+        if (N := math.ceil(lam * q.q)) <= (24 if n == 3 else 60):
+            assert tau.contains(mono.pow(N).floor_root(q)), (points, lam, q)
+
+
+def test_tau_of_a_monomial_ideal_reads_no_chain_level(monkeypatch):
+    def no_chain(*args):
+        raise AssertionError("a chain level was read")
+
+    monkeypatch.setattr(frobenius, "_power_root", no_chain)
+    monkeypatch.setattr(frobenius, "_PowerTable", no_chain)
+    # The box {0..3000}^2 is past the cap, so the call ends at once.
+    with pytest.raises(CapacityError, match="box cap"):
+        tau_chain(ideal(["x^2", "y^3"]), Fraction(1000), 2)
+    # A principal ideal is read in closed form, floor(lam v), before the box.
+    assert ideal_equal(tau_chain(ideal(["x*y"]), Fraction(1000), 2).ideal,
+                       ideal(["x^1000*y^1000"]))
+    assert ideal_equal(tau_chain(ideal(["x^3*y"]), Fraction(5, 6), 2).ideal, ideal(["x^2"]))
+    # Below lct the unit ideal comes before the box {0..1000}^2; at lct it
+    # does not: tau((x^2, y^2)^1) = (x, y).
+    assert tau_chain(ideal(["x^2000", "y"]), Fraction(1, 2), 2).ideal.is_unit()
+    at_lct = tau_chain(ideal(["x^2", "y^2"]), Fraction(1), 2)
+    assert ideal_equal(at_lct.ideal, ideal(["x", "y"]))
+    assert (at_lct.e_used, at_lct.stabilized) == (0, True)
