@@ -149,6 +149,13 @@ def _cmd_sweep(args) -> int:
         raise DomainError("sweep generators must vanish at the origin")
     primes = parse_primes(args.primes)
     target = parse_rational(args.target) if args.target else None
+    if args.out:
+        # Refuse a path that cannot be written before the sweep, not after.
+        out = Path(args.out)
+        if out.is_dir():
+            raise IsADirectoryError(f"Is a directory: {args.out!r}")
+        if not out.parent.is_dir():
+            raise FileNotFoundError(f"No such file or directory: {str(out.parent)!r}")
     issues: list[SweepIssue] = []
     records = sweep(ideal, primes, args.qmax, issues=issues)
     capped = _warn_skipped(issues)

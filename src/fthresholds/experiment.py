@@ -65,7 +65,6 @@ class ConvergenceReport:
     max_gap: Fraction | None
     monotone_ok: bool
     below_lct_ok: bool | None
-    trend_ok: bool | None
 
 
 def largest_exponent(p: int, q_max: int) -> int | None:
@@ -167,22 +166,17 @@ def convergence_report(records: list[SweepRecord],
     )
     max_gap = None
     below_ok = None
-    trend_ok = None
     if target is not None:
         target = Fraction(target)
         gaps = [target - r.low for r in records]
         max_gap = max(gaps)
         below_ok = all(r.low <= target for r in records)
-        first, last = records[0], records[-1]
-        trend_ok = (target - last.low) <= (target - first.low) \
-            + (first.high - first.low) + (last.high - last.low)
     return ConvergenceReport(
         target_lct=target,
         records=records,
         max_gap=max_gap,
         monotone_ok=monotone_ok,
         below_lct_ok=below_ok,
-        trend_ok=trend_ok,
     )
 
 
@@ -208,7 +202,6 @@ def report_to_json(report: ConvergenceReport) -> str:
     if report.target_lct is not None:
         obj["below_lct_ok"] = report.below_lct_ok
         obj["max_gap"] = format_rational(report.max_gap)
-        obj["trend_ok"] = report.trend_ok
     return json.dumps(obj) + "\n"
 
 

@@ -109,18 +109,6 @@ def frobenius_root(b: Ideal, q: PrimePower) -> Ideal:
     return Ideal(root_echelon(b.gens, b.n, b.p, q.q), n=b.n, p=b.p)
 
 
-def _box_products(hs: list[GFPoly], gs: list[GFPoly], box: int | None) -> Iterator[GFPoly]:
-    """The products h g, h in hs (outer) and g in gs (inner), modulo m^[box]
-    (box None: in full).  When the total degrees of h and g add up to less
-    than box, no exponent of any term of h g can reach box, so the plain
-    product is exact and skips the box test of mul_truncated."""
-    gs = [(g, g.total_degree()) for g in gs]
-    for h in hs:
-        room = box - h.total_degree() if box else None
-        for g, degree in gs:
-            yield h.mul_truncated(g, box) if box and degree >= room else h * g
-
-
 class _PowerTable:
     """Spanning sets of a^t, t = 0..k(p-1), for a = (gens) with k generators,
     each built on its first read.  A table serves one _nu_root call, with a
@@ -137,10 +125,12 @@ class _PowerTable:
     of which the products read, come from that chain, built on first use as
     well.  The products stream into the echelon, so only the table and the
     basis being built are kept.  With a `box` the entries are kept modulo
-    m^[box], each product by _box_products.  POWER_TABLE_CAP counts the terms
-    of every polynomial the table keeps, the f^t read, the chain's powers
-    and the products, as each is added, so it bounds all that one chain's
-    table keeps; CapacityError names the entry whose read passed the cap.
+    m^[box]: f^t by GFPoly.truncate and each product by
+    GFPoly.mul_truncated, which alone decide how a polynomial meets the box.
+    POWER_TABLE_CAP counts the terms of every polynomial the table keeps,
+    the f^t read, the chain's powers and the products, as each is added, so
+    it bounds all that one chain's table keeps; CapacityError names the
+    entry whose read passed the cap.
     """
 
     def __init__(self, gens: list[GFPoly], box: int | None = None):
@@ -163,9 +153,7 @@ class _PowerTable:
                 span = echelonize(self._products(0, t, t), self.n, self.p)
             elif f.multinomial_fits(t) and math.comb(t + len(f.terms) - 1, t) <= POWER_TABLE_CAP:
                 power = f.pow(t)
-                if self.box and power.total_degree() >= self.box:
-                    power = power.truncate(self.box)
-                span = [self._count(power, t)]
+                span = [self._count(power.truncate(self.box) if self.box else power, t)]
             else:
                 span = [self._gen_power(0, t, t)]
             self.spans[t] = span
@@ -181,8 +169,7 @@ class _PowerTable:
 
     def _mul(self, f: GFPoly, g: GFPoly, t: int) -> GFPoly:
         """f g, modulo m^[box] if any, counted against the cap as part of a^t."""
-        prod, = _box_products([f], [g], self.box)
-        return self._count(prod, t)
+        return self._count(f.mul_truncated(g, self.box) if self.box else f * g, t)
 
     def _gen_power(self, i: int, j: int, t: int) -> GFPoly:
         powers = self.gen_powers[i]
@@ -248,9 +235,8 @@ def _escapes(powers: _PowerTable, r: int, level: int) -> bool:
     products of step i = 0, 1, ... are needed only modulo m^[p^(level-i)],
     so every term with an exponent >= p^(level-i) is dropped.  The J of the
     previous step already lies in that box.  Every product, the last step's
-    too, follows the table's one rule (_box_products): a plain `*` when the
-    factors' total degrees add up to less than the box, exact because no
-    exponent can then reach it, and mul_truncated otherwise.
+    too, is GFPoly.mul_truncated, which takes the plain `*` when the factors'
+    total degrees add up to less than the box.
 
     Local generators.  Whether J lies in m is a question at the origin:
     an ideal lies in m iff its localization at the origin lies in the
@@ -286,9 +272,9 @@ def _escapes(powers: _PowerTable, r: int, level: int) -> bool:
     for i, t in enumerate(digits[:-1]):
         if t:
             prev, box = J, p**(level - i)
-            J = _box_products(powers[t], prev, box)
+            J = (h.mul_truncated(g, box) for h in powers[t] for g in prev)
         J = root_local_generators(J, one.n, p, p**(level - i - 1))
-    return any(not prod.is_zero for prod in _box_products(powers[digits[-1]], J, p))
+    return any(not h.mul_truncated(g, p).is_zero for h in powers[digits[-1]] for g in J)
 
 
 def _times_power(gens: list[GFPoly], M: int, J: list[GFPoly]) -> list[GFPoly]:
@@ -508,8 +494,18 @@ def _nu_split(f: GFPoly, points: list[tuple], n: int, p: int, e: int) -> int:
     best only grows, so D_i only shrinks, and a term dropped then is past the
     scan's D_i later.  The last level's powers are multiplied by nothing, so
     dropping their terms of high degree cannot change nu.
+
+    The factors T_a, a < p, are all kept, so their terms are counted against
+    POWER_TABLE_CAP as each is built, as in the digit root's table of f^t.
     """
     qv = p**e
+    small, terms = [GFPoly.one(n, p)], 1
+    for a in range(1, p):
+        small.append(small[-1].mul_truncated(f, qv))
+        terms += len(small[-1].terms)
+        if terms > POWER_TABLE_CAP:
+            raise CapacityError(f"power table cap of {POWER_TABLE_CAP} terms exceeded "
+                                f"at f^{a} ({terms} terms)")
     packing = _MonomialPacking(points)
     mdeg = packing.min_degree
     limit = n * (qv - 1)
@@ -518,7 +514,7 @@ def _nu_split(f: GFPoly, points: list[tuple], n: int, p: int, e: int) -> int:
     def cap(i: int) -> int:
         return limit - mdeg * (best + 1 - i)
 
-    for i, t in enumerate(truncated_powers(f, e, cap)):
+    for i, t in enumerate(truncated_powers(small, e, cap)):
         for c in monomials_ascending(t):
             if sum(c) > cap(i):
                 break
@@ -541,8 +537,9 @@ def nu(a: Ideal, e: int) -> NuValue:
       * at most one generator that is not a monomial, and at least one
         monomial: nu_M(q-1, ..., q-1) for M alone, else the split route
         (_nu_split) for (f) + M, truncated powers of f against nu_M, which is
-        read in closed form for a full M, else by a branch-and-bound; TERM_CAP
-        bounds each power and the chained levels' memory, NODE_CAP the search;
+        read in closed form for a full M, else by a branch-and-bound;
+        POWER_TABLE_CAP bounds the factors f^a, a < p, TERM_CAP each product
+        of the chained levels, and NODE_CAP the search;
       * every other ideal: the digit root (_nu_root), over a table of a^t
         modulo m^[p^e], t <= k(p-1), whose entries are built on first read
         and whose terms are capped by POWER_TABLE_CAP.  Level 1 scans the

@@ -394,6 +394,10 @@ class GFPoly:
         product truncated by degree is exact in the degrees it keeps, but it is
         no truncated power to multiply again.
 
+        Without max_degree, when the factors' total degrees add up to less than
+        bound, no exponent can reach it, and the product is the plain `*`;
+        otherwise top = 2^(nw), above every key sum, so the loop never breaks.
+
         The top field of a key is its total degree, so a product key m1 + m2 is
         within the degree bound iff it is below top = (max_degree + 1) << (n-1)w.
         Then m1 is below top minus the least key of the other factor, and m2
@@ -405,7 +409,11 @@ class GFPoly:
         n, p = self.n, self.p
         w = _width(n)
         a, b = self._terms.items(), other._terms.items()
-        if max_degree is not None:
+        if max_degree is None:
+            if self.total_degree() + other.total_degree() < bound:
+                return self * other
+            top = 1 << (n * w)
+        else:
             top = (max_degree + 1) << ((n - 1) * w)
             # An empty factor leaves the loops empty whatever its least key.
             low_a, low_b = min(self._terms, default=0), min(other._terms, default=0)
@@ -417,22 +425,14 @@ class GFPoly:
         fields, bias, guards = _box(bound, n, w)
         out: dict = {}
         get = out.get
-        if max_degree is None:
-            for m1, c1 in a:
-                for m2, c2 in b:
-                    mm = m1 + m2
-                    if (mm - ((mm << w) & fields) + bias) & guards:
-                        continue
-                    out[mm] = (get(mm, 0) + c1 * c2) % p
-        else:
-            for m1, c1 in a:
-                for m2, c2 in b:
-                    mm = m1 + m2
-                    if mm >= top:
-                        break
-                    if (mm - ((mm << w) & fields) + bias) & guards:
-                        continue
-                    out[mm] = (get(mm, 0) + c1 * c2) % p
+        for m1, c1 in a:
+            for m2, c2 in b:
+                mm = m1 + m2
+                if mm >= top:
+                    break
+                if (mm - ((mm << w) & fields) + bias) & guards:
+                    continue
+                out[mm] = (get(mm, 0) + c1 * c2) % p
         _drop_zeros(out)
         _check_range(out, n, w)
         return GFPoly(n, p, out)
@@ -563,12 +563,16 @@ class GFPoly:
         return GFPoly(n, p, _drop_zeros(out))
 
     def truncate(self, bound: int) -> "GFPoly":
-        """Drop every term having some exponent >= bound."""
+        """Drop every term having some exponent >= bound; self itself when no
+        term has one, at once when the total degree is below bound."""
+        if self.total_degree() < bound:
+            return self
         n = self.n
         w = _width(n)
         fields, bias, guards = _box(bound, n, w)
-        return GFPoly(n, self.p, {m: c for m, c in self._terms.items()
-                                  if not (m - ((m << w) & fields) + bias) & guards})
+        kept = {m: c for m, c in self._terms.items()
+                if not (m - ((m << w) & fields) + bias) & guards}
+        return self if len(kept) == len(self._terms) else GFPoly(n, self.p, kept)
 
     def frobenius_power(self, qv: int) -> "GFPoly":
         """self^q for q a power of p: (sum c x^a)^q = sum c x^(q a) over F_p."""
@@ -833,10 +837,11 @@ def root_local_generators(polys: Iterable[GFPoly], n: int, p: int, box: int) -> 
     return [GFPoly(n, p, t) for t in _local_rows(rows, n, p, box)]
 
 
-def truncated_powers(f: GFPoly, e: int, cap: Callable[[int], int]) -> Iterator[GFPoly]:
+def truncated_powers(small: list[GFPoly], e: int, cap: Callable[[int], int]) -> Iterator[GFPoly]:
     """T_0, T_1, ...: T_k is f^k with every term having some exponent >= p^e
     dropped, and, when p does not divide k, every term of total degree
-    > cap(k) too.  f must vanish at the origin and e be at least 1.
+    > cap(k) too.  small[a] is T_a for a < p, built and counted by the
+    caller.  f must vanish at the origin and e be at least 1.
 
     f^k lies outside m^[p^e] iff its truncation to the box is nonzero; that
     holds for a prefix of k, and only for k < p^e since f^p = f^[p] lies in
@@ -847,29 +852,25 @@ def truncated_powers(f: GFPoly, e: int, cap: Callable[[int], int]) -> Iterator[G
     p^(L-1), and products only raise exponents.
 
     The levels are chained, each a generator that reads the level below as
-    it goes: beside the factors f^a, a lifted power and a product per level
-    are alive, so TERM_CAP, which bounds each power, bounds the memory.  A
-    level below e is exact, ends at its first zero and stops once the level
-    above ends.  Level e's powers are leaves, multiplied by nothing, so
-    dropping their terms of high degree loses nothing else.  cap(k) is asked
-    just before T_k, p not dividing k, is built, so it may depend on what the
-    caller read of T_0..T_(k-1).  T_(p b) = T_b^[p] needs no product and is
-    yielded whole.  A power cut by degree may be zero while later ones are
-    not, so level e runs through the level below it: at most K + p powers
-    when T_K is the last nonzero truncation.
+    it goes: beside the factors in small, a lifted power and a product per
+    level are alive.  TERM_CAP bounds each product, not the memory: the p - 1
+    factors are bounded only by the caller's count.  A level below e is
+    exact, ends at its first zero and stops once the level above ends.
+    Level e's powers are leaves, multiplied by nothing, so dropping their
+    terms of high degree loses nothing else.  cap(k) is asked just before
+    T_k, p not dividing k, is built, so it may depend on what the caller
+    read of T_0..T_(k-1).  T_(p b) = T_b^[p] needs no product and is yielded
+    whole.  A power cut by degree may be zero while later ones are not, so
+    level e runs through the level below it: at most K + p powers when T_K
+    is the last nonzero truncation.
     """
-    if not f.vanishes_at_origin():
+    if not small[1].vanishes_at_origin():
         raise DomainError("truncated powers need f to vanish at the origin")
-    n, p = f.n, f.p
-    qv = p**e
-    one = GFPoly.one(n, p)
-    small = [one]  # trunc_q(f^a) for a < p
-    for _ in range(p - 1):
-        small.append(small[-1].mul_truncated(f, qv))
-    level: Iterable[GFPoly] = [one]
+    p = len(small)
+    level: Iterable[GFPoly] = small[:1]
     for L in range(1, e):
         level = _split_level(level, small, p**L, None)
-    return _split_level(level, small, qv, cap)
+    return _split_level(level, small, p**e, cap)
 
 
 def _split_level(level: Iterable[GFPoly], small: list[GFPoly], bound: int,

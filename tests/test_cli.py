@@ -128,9 +128,14 @@ def test_sweep_command(tmp_path: Path, capsys):
     assert [r["p"] for r in payload["records"]] == [5, 7, 11]
 
 
-def test_sweep_out_that_cannot_be_written_is_a_usage_error(tmp_path: Path, capsys):
+def test_sweep_out_that_cannot_be_written_is_a_usage_error(tmp_path: Path, capsys,
+                                                            monkeypatch):
     # A missing directory or a directory in place of the file: "error: ...",
-    # exit 1, and no traceback, where the whole sweep has already run.
+    # exit 1, and no traceback, before the sweep runs.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr(cli, "sweep", unreachable)
     for target, reason in ((tmp_path / "missing" / "report.json", "No such file"),
                            (tmp_path, "Is a directory")):
         code = dispatch(["sweep", "--gens", "x^2+y^3", "-n", "2", "--primes", "5",

@@ -79,12 +79,11 @@ def test_convergence_report_empty():
         convergence_report([])
 
 
-def test_trend_flag_ignores_input_order():
+def test_report_ignores_input_order():
     a = SweepRecord(p=5, e=2, nu=10, low=Fraction(10, 25), high=Fraction(11, 25), elapsed_ms=0)
     b = SweepRecord(p=7, e=2, nu=40, low=Fraction(40, 49), high=Fraction(41, 49), elapsed_ms=0)
     forward = convergence_report([a, b], Fraction(5, 6))
     backward = convergence_report([b, a], Fraction(5, 6))
-    assert forward.trend_ok is True
     assert backward == forward
 
 

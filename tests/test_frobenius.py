@@ -758,7 +758,10 @@ def test_truncated_powers_match_repeated_products(seed):
         t = t.mul_truncated(f, qv)
     # A cap no term of the box exceeds keeps the chain whole; the last level
     # runs to the end of the level below it, so zeros may follow the chain.
-    got = list(truncated_powers(f, e, lambda k: n * (qv - 1)))
+    small = [GFPoly.one(n, p)]  # the factors trunc_q(f^a), a < p
+    for _ in range(p - 1):
+        small.append(small[-1].mul_truncated(f, qv))
+    got = list(truncated_powers(small, e, lambda k: n * (qv - 1)))
     assert got[:len(chain)] == chain
     assert len(got) < len(chain) + p
     assert all(t.is_zero for t in got[len(chain):])
@@ -771,7 +774,7 @@ def test_truncated_powers_match_repeated_products(seed):
         caps[k] = rng.randint(-1, n * (qv - 1))
         return caps[k]
 
-    got = list(truncated_powers(f, e, cap))
+    got = list(truncated_powers(small, e, cap))
     assert len(got) < len(chain) + p
     for k, t in enumerate(got):
         want = chain[k] if k < len(chain) else GFPoly.zero(n, p)
@@ -779,6 +782,18 @@ def test_truncated_powers_match_repeated_products(seed):
             want = GFPoly.make(n, p, [(m, c) for m, c in want.terms.items()
                                       if sum(m) <= caps[k]])
         assert t == want
+
+
+def test_nu_split_counts_its_factors_against_the_table_cap(monkeypatch):
+    # The factors trunc_q(f^a), a < p, are all kept at once.  At 31 they hold
+    # 1152 terms together, the largest 113; at 1009 they passed 60M while
+    # each stayed under TERM_CAP.
+    a = ideal(["x^4 + y^3 + x*y^2 + 2*x^2*y", "x^5"], p=31)
+    monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 1151)
+    with pytest.raises(CapacityError, match=r"power table cap .* at f\^20 \(1152 terms\)"):
+        nu(a, 1)
+    monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 1152)
+    assert nu(a, 1).nu == 20
 
 
 def test_nu_split_capacity(monkeypatch):

@@ -83,6 +83,28 @@ def test_pow_truncated_examples():
     assert x24.mul_truncated(x, 25).is_zero
 
 
+def test_mul_truncated_at_the_degree_boundary():
+    # Without a degree cap, factors whose total degrees add up to less than
+    # the bound take the plain product; from the bound on, the box test rules.
+    x2, x3 = gf("x^2", 1, 5), gf("x^3", 1, 5)
+    assert x2.mul_truncated(x3, 5).is_zero
+    assert x2.mul_truncated(x3, 6) == gf("x^5", 1, 5)
+    # Degree sums equal to the bound, 6: every term kept, then x^6 dropped.
+    f, g = gf("x^2*y + z", 3), gf("y*z^2 + x", 3)
+    assert f.mul_truncated(g, 6) == f * g == gf("x^2*y^2*z^2 + x^3*y + y*z^3 + x*z", 3)
+    assert gf("x^3 + y", 3).mul_truncated(gf("x^3 + z", 3), 6) == gf("x^3*z + x^3*y + y*z", 3)
+
+
+def test_truncate_keeps_the_polynomial_when_no_term_leaves():
+    f = gf("x*y + y^3", 2)
+    assert f.truncate(4) is f
+    g = gf("x*y", 2)  # total degree 2, every exponent below 2
+    assert g.truncate(2) is g
+    assert f.truncate(2) is not f and f.truncate(2) == gf("x*y", 2)
+    zero = GFPoly.zero(2, 7)
+    assert zero.truncate(1) is zero
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_pow_truncated_matches_oracle(seed):
