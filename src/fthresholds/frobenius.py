@@ -23,9 +23,7 @@ Central facts used throughout (R = F_p[x_1..x_n], q = p^e, m = (x_1..x_n)):
     (a^((N-t)/p))^[p] lies in a^(N-t), so the right side lies in the left.
     Applied once per level, it gives (a^N)^[1/p^e] = a^M J' without ever
     expanding a^N.  For k = 1, t is the last base-p digit of N, and a^t is
-    (f^t) with t < p, which the power table reads from GFPoly.pow, the
-    multinomial theorem, when that is cheaper than the chain f^t = f^(t-1) f
-    (_PowerTable).
+    (f^t) with t < p (_PowerTable).
 """
 
 from __future__ import annotations
@@ -110,26 +108,25 @@ def frobenius_root(b: Ideal, q: PrimePower) -> Ideal:
 
 
 class _PowerTable:
-    """Spanning sets of a^t, t = 0..k(p-1), for a = (gens) with k generators,
-    each built on its first read.  A table serves one _nu_root call, with a
-    box, or one test_ideal call, without one, and is then dropped.
+    """Spanning sets of a^t for a = (gens), k generators, each built on its
+    first read: the one maker and counter of powers of the generators.  A
+    table serves one call, then is dropped: _nu_root's probes or _nu_split,
+    whose factors f^a, a < p, are its chain, with a box, or test_ideal,
+    without one, whose lifts a^M (J) it forms (times).
 
     powers[t] is [f^t] for k = 1 and the echelonized products g^c with
     |c| = t otherwise.  For k = 1, f^t comes from f.pow(t), the multinomial
     theorem, so an entry that no probe reads is never built.  It comes from
     the chain f^j = f^(j-1) f instead when f.multinomial_fits(t) refuses, as
     for a dense f at a large p, or when the C(t + s - 1, t) compositions of
-    t into the s terms of f, the theorem's work, pass POWER_TABLE_CAP: the
-    cap counts the chain's powers as they are built, so it bounds the work
-    of every entry.  For k >= 2 the per-generator powers g_i^j, every j <= t
-    of which the products read, come from that chain, built on first use as
-    well.  The products stream into the echelon, so only the table and the
+    t into the s terms of f, the theorem's work, pass POWER_TABLE_CAP.  For
+    k >= 2 the powers g_i^j, j <= t, that the products read come from that
+    chain.  The products stream into the echelon, so only the table and the
     basis being built are kept.  With a `box` the entries are kept modulo
-    m^[box]: f^t by GFPoly.truncate and each product by
-    GFPoly.mul_truncated, which alone decide how a polynomial meets the box.
-    POWER_TABLE_CAP counts the terms of every polynomial the table keeps,
-    the f^t read, the chain's powers and the products, as each is added, so
-    it bounds all that one chain's table keeps; CapacityError names the
+    m^[box], by GFPoly.truncate and GFPoly.mul_truncated, which alone decide
+    how a polynomial meets the box.  POWER_TABLE_CAP counts the terms of
+    every polynomial the table keeps or forms, lifts too, as each is added,
+    so it bounds the work of one call's powers; CapacityError names the
     entry whose read passed the cap.
     """
 
@@ -159,12 +156,32 @@ class _PowerTable:
             self.spans[t] = span
         return span
 
+    def times(self, J: list[GFPoly], M: int) -> Ideal:
+        """The ideal a^M (J): the entry a^M times J, or f.pow(M) times J for
+        k = 1, refused before f^M is expanded when prod C(t + s - 1, t) over
+        M's base-p digits t, which bounds its terms, times J's would pass the cap."""
+        if M and len(self.gens) > 1:
+            J = echelonize((self._mul(h, g, M) for h in self[M] for g in J), self.n, self.p)
+        elif M:
+            f = self.gens[0]
+            bound, r = sum(len(g.terms) for g in J), M
+            while r:
+                r, t = divmod(r, self.p)
+                bound *= math.comb(t + len(f.terms) - 1, t)
+            self._check(self.terms + bound, M)
+            fM = f.pow(M)
+            J = [self._mul(fM, g, M) for g in J]
+        return Ideal(J, n=self.n, p=self.p)
+
+    def _check(self, terms: int, t: int) -> None:
+        if terms > POWER_TABLE_CAP:
+            raise CapacityError(f"power table cap of {POWER_TABLE_CAP} terms exceeded "
+                                f"at a^{t} ({terms} terms)")
+
     def _count(self, poly: GFPoly, t: int) -> GFPoly:
         """poly, its terms counted against the cap as part of a^t."""
         self.terms += len(poly.terms)
-        if self.terms > POWER_TABLE_CAP:
-            raise CapacityError(f"power table cap of {POWER_TABLE_CAP} terms exceeded "
-                                f"at a^{t} ({self.terms} terms)")
+        self._check(self.terms, t)
         return poly
 
     def _mul(self, f: GFPoly, g: GFPoly, t: int) -> GFPoly:
@@ -277,32 +294,17 @@ def _escapes(powers: _PowerTable, r: int, level: int) -> bool:
     return any(not h.mul_truncated(g, p).is_zero for h in powers[digits[-1]] for g in J)
 
 
-def _times_power(gens: list[GFPoly], M: int, J: list[GFPoly]) -> list[GFPoly]:
-    """Generators of a^M (J), a = (gens)."""
-    if M == 0:
-        return J
-    if len(gens) == 1:
-        fM = gens[0].pow(M)
-        return [fM * g for g in J]
-    n, p = gens[0].n, gens[0].p
-    for _ in range(M):
-        J = echelonize((h * g for h in gens for g in J), n, p)
-    return J
-
-
 def _root_iterates(powers: _PowerTable, lam: Fraction, s: int, t: int) -> Iterator[tuple]:
     """(K_(j-1), K_j, K_j^[1/p^s]), j >= 1, for lam = b/(p^s (p^t - 1)), K_0 =
     a^ceil(lam p^s), K_(j+1) = (a^b K_j)^[1/p^t] and powers = _PowerTable(gens of a).
     Each K_j = a^M (J) is made once, when read, by the digit root of a^(b+M') (J')
     over t levels from K_(j-1) = a^M' (J'); its root by one over s levels."""
-    def lift(J: list[GFPoly], M: int) -> Ideal:
-        return Ideal(_times_power(powers.gens, M, J), n=powers.n, p=powers.p)
     J, M, b = [powers[0][0]], math.ceil(lam * powers.p**s), lam * powers.p**s * (powers.p**t - 1)
-    K = lift(J, M)
+    K = powers.times(J, M)
     while True:
         J, M = _digit_root(powers, int(b) + M, t, J)
-        K_prev, K = K, lift(J, M)
-        yield K_prev, K, lift(*_digit_root(powers, M, s, J)) if s else K
+        K_prev, K = K, powers.times(J, M)
+        yield K_prev, K, powers.times(*_digit_root(powers, M, s, J)) if s else K
 
 
 def _power_root(a: Ideal, N: int, q: PrimePower, powers: _PowerTable | None = None) -> Ideal:
@@ -312,9 +314,8 @@ def _power_root(a: Ideal, N: int, q: PrimePower, powers: _PowerTable | None = No
         return Ideal([GFPoly.one(a.n, a.p)], n=a.n, p=a.p)
     if a.is_zero:
         return Ideal([], n=a.n, p=a.p)
-    gens = list(a.gens)
-    J, M = _digit_root(_PowerTable(gens) if powers is None else powers, N, q.e)
-    return Ideal(_times_power(gens, M, J), n=a.n, p=a.p)
+    powers = _PowerTable(list(a.gens)) if powers is None else powers
+    return powers.times(*_digit_root(powers, N, q.e))
 
 
 def frobenius_root_principal_power(f: GFPoly, N: int, q: PrimePower) -> Ideal:
@@ -495,17 +496,12 @@ def _nu_split(f: GFPoly, points: list[tuple], n: int, p: int, e: int) -> int:
     scan's D_i later.  The last level's powers are multiplied by nothing, so
     dropping their terms of high degree cannot change nu.
 
-    The factors T_a, a < p, are all kept, so their terms are counted against
-    POWER_TABLE_CAP as each is built, as in the digit root's table of f^t.
+    The factors f^a, a < p, all kept at once, are the chain of one _PowerTable
+    with the box q, which counts each product against POWER_TABLE_CAP.
     """
     qv = p**e
-    small, terms = [GFPoly.one(n, p)], 1
-    for a in range(1, p):
-        small.append(small[-1].mul_truncated(f, qv))
-        terms += len(small[-1].terms)
-        if terms > POWER_TABLE_CAP:
-            raise CapacityError(f"power table cap of {POWER_TABLE_CAP} terms exceeded "
-                                f"at f^{a} ({terms} terms)")
+    powers = _PowerTable([f], qv)
+    small = [powers._gen_power(0, a, a) for a in range(p)]
     packing = _MonomialPacking(points)
     mdeg = packing.min_degree
     limit = n * (qv - 1)
@@ -538,8 +534,8 @@ def nu(a: Ideal, e: int) -> NuValue:
         monomial: nu_M(q-1, ..., q-1) for M alone, else the split route
         (_nu_split) for (f) + M, truncated powers of f against nu_M, which is
         read in closed form for a full M, else by a branch-and-bound;
-        POWER_TABLE_CAP bounds the factors f^a, a < p, TERM_CAP each product
-        of the chained levels, and NODE_CAP the search;
+        POWER_TABLE_CAP bounds the factors f^a, a < p, a _PowerTable's chain,
+        TERM_CAP each product of the chained levels, and NODE_CAP the search;
       * every other ideal: the digit root (_nu_root), over a table of a^t
         modulo m^[p^e], t <= k(p-1), whose entries are built on first read
         and whose terms are capped by POWER_TABLE_CAP.  Level 1 scans the
@@ -627,7 +623,7 @@ def test_ideal(a: Ideal, lam: Fraction, e_max: int) -> TestIdealResult:
     (_root_iterates): once K_(k-1) = K_k the sequence is constant, so the
     chain, which ascends to tau(f^lam), has reached it.  As s + tk >= t, t is
     searched to e_max; no K is made before level s + t.  All levels read one
-    _PowerTable of a, with no box; the zero ideal none.
+    _PowerTable of a (none for a = 0), with no box, which forms each a^M (J).
     """
     lam = Fraction(lam)
     if lam < 0:
@@ -665,9 +661,11 @@ def fpt_point(a: Ideal, enc: FptEnclosure) -> Fraction | None:
     nu/(q - 1) <= fpt <= min((nu + k)/q, lct(T)), T the term ideal: the
     _nu_root docstring proves both ends (Hara-Yoshida 2003, Theorem 4.8;
     Mustata-Takagi-Watanabe 2005).  When they are equal, that value is fpt.
+    When every generator is a monomial, T = a and fpt = lct(T) (same theorem).
     None claims nothing; the zero ideal, which has no T, always gives None.
     """
     if a.is_zero:
         return None
-    low = Fraction(enc.nu, enc.q.q - 1)
-    return low if low == min(enc.high, _term_lct(list(a.gens))) else None
+    low, lct = Fraction(enc.nu, enc.q.q - 1), _term_lct(list(a.gens))
+    monomial = all(g.is_monomial() for g in a.gens)
+    return lct if monomial else low if low == min(enc.high, lct) else None

@@ -840,8 +840,8 @@ def root_local_generators(polys: Iterable[GFPoly], n: int, p: int, box: int) -> 
 def truncated_powers(small: list[GFPoly], e: int, cap: Callable[[int], int]) -> Iterator[GFPoly]:
     """T_0, T_1, ...: T_k is f^k with every term having some exponent >= p^e
     dropped, and, when p does not divide k, every term of total degree
-    > cap(k) too.  small[a] is T_a for a < p, built and counted by the
-    caller.  f must vanish at the origin and e be at least 1.
+    > cap(k) too.  small[a] is f^a, a < p, whole or truncated to the box,
+    built and counted by the caller.  f must vanish at the origin, e >= 1.
 
     f^k lies outside m^[p^e] iff its truncation to the box is nonzero; that
     holds for a prefix of k, and only for k < p^e since f^p = f^[p] lies in

@@ -25,7 +25,7 @@ from fthresholds.frobenius import (
 from fthresholds.frobenius import test_ideal as tau_chain
 from fthresholds.gfpoly import GFPoly, echelonize, truncated_powers
 from fthresholds.groebner import Ideal, MonomialIdeal
-from fthresholds.newton import NewtonPolytope
+from fthresholds.newton import NewtonPolytope, lct_monomial
 from fthresholds.parsing import parse_gfpoly
 from fthresholds.reduction import truncate_ideal
 
@@ -468,11 +468,13 @@ def test_nu_root_matches_dp(seed):
 @given(st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
 def test_power_root_matches_expansion(seed):
-    """(a^N)^[1/q] by the digit root equals the root of the expanded power."""
+    """(a^N)^[1/q] by the digit root equals the root of the expanded power.
+    Up to 4q, the digit root leaves a^M (J) with M >= 2 at p = 2 and 3, so the
+    table's lift reads an entry a^M of several generators."""
     rng = random.Random(seed)
     a = _rand_root_ideal(rng)
     q = prime_power(a.p, rng.choice([1, 2]))
-    N = rng.randint(0, min(2 * q.q, 12 if a.n == 2 else 8))
+    N = rng.randint(0, min(4 * q.q, 12 if a.n == 2 else 8))
     slow = frobenius_root(Ideal(expanded_power(list(a.gens), N), n=a.n, p=a.p), q)
     assert _power_root(a, N, q).equals(slow)
 
@@ -784,15 +786,35 @@ def test_truncated_powers_match_repeated_products(seed):
         assert t == want
 
 
+def _count_power_tables(monkeypatch) -> list:
+    """The _PowerTable objects built from now on, in order."""
+    tables = []
+    init = frobenius._PowerTable.__init__
+
+    def counting(self, *args):
+        init(self, *args)
+        tables.append(self)
+
+    monkeypatch.setattr(frobenius._PowerTable, "__init__", counting)
+    return tables
+
+
+def test_nu_split_builds_one_power_table(monkeypatch):
+    # The factors f^a, a < p, are the chain of one table with the box q.
+    tables = _count_power_tables(monkeypatch)
+    assert nu(ideal(["x^4 + y^3 + x*y^2 + 2*x^2*y", "x^5"], p=31), 1).nu == 20
+    assert len(tables) == 1 and tables[0].box == 31
+
+
 def test_nu_split_counts_its_factors_against_the_table_cap(monkeypatch):
     # The factors trunc_q(f^a), a < p, are all kept at once.  At 31 they hold
-    # 1152 terms together, the largest 113; at 1009 they passed 60M while
-    # each stayed under TERM_CAP.
+    # 1148 terms together with the unit, f itself not counted, the largest
+    # 113; at 1009 they passed 60M while each stayed under TERM_CAP.
     a = ideal(["x^4 + y^3 + x*y^2 + 2*x^2*y", "x^5"], p=31)
-    monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 1151)
-    with pytest.raises(CapacityError, match=r"power table cap .* at f\^20 \(1152 terms\)"):
+    monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 1147)
+    with pytest.raises(CapacityError, match=r"power table cap .* at a\^20 \(1148 terms\)"):
         nu(a, 1)
-    monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 1152)
+    monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 1148)
     assert nu(a, 1).nu == 20
 
 
@@ -884,6 +906,25 @@ def test_fpt_point_where_the_bounds_meet(monkeypatch):
     # At p = 5 (mod 6), fpt = 5/6 - 1/(6p): the bounds stay apart.
     for p in (5, 11):
         assert point(cusp(p), 2) is None, p
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_fpt_point_of_a_monomial_ideal_is_its_lct(seed):
+    """fpt = lct for a monomial ideal (Hara-Yoshida 2003, Theorem 4.8), so the
+    point is lct_monomial whether or not the bounds meet, and it lies in the
+    enclosure [nu/(q - 1), (nu + k)/q] (n <= 3, p <= 7, e <= 3)."""
+    rng = random.Random(seed)
+    n, p, e = rng.randint(1, 3), rng.choice([2, 3, 5, 7]), rng.randint(1, 3)
+    points = set()
+    while not points:
+        points = {m for m in (tuple(rng.randint(0, 3) for _ in range(n))
+                              for _ in range(rng.randint(1, 3))) if sum(m)}
+    a = Ideal([GFPoly.make(n, p, [(m, rng.randint(1, p - 1))]) for m in points], n=n, p=p)
+    enc = fpt_enclosure(a, e)
+    found = fpt_point(a, enc)
+    assert found == lct_monomial(MonomialIdeal(sorted(points), n)), (points, p, e)
+    assert Fraction(enc.nu, enc.q.q - 1) <= found <= enc.high, (points, p, e)
 
 
 def test_diagonal_curves_match_the_closed_form():
@@ -1002,18 +1043,19 @@ def test_tau_builds_one_power_table(monkeypatch, gens, p, lam, e_max, basis, e_u
     # Every level of the chain and every K of the fixed point read one table,
     # without a box.  The second case has s = 2 and t = 1, so its certificate
     # compares K_2 with K_3 at level 5.
-    tables = []
-    init = frobenius._PowerTable.__init__
-
-    def counting(self, *args):
-        init(self, *args)
-        tables.append(self)
-
-    monkeypatch.setattr(frobenius._PowerTable, "__init__", counting)
+    tables = _count_power_tables(monkeypatch)
     result = tau_chain(ideal([gens], p=p), lam, e_max)
     assert result.ideal.equals(ideal(basis, p=p))
     assert (result.e_used, result.stabilized) == (e_used, True)
     assert len(tables) == 1 and tables[0].box is None
+
+
+def test_tau_lift_is_refused_before_it_is_expanded():
+    # f^100000 over F_101 has the digits 9, 81, 10, so up to C(11, 2) C(83, 2)
+    # C(12, 2) = 12352890 terms: the lift a^M (J) is refused before f^M is
+    # expanded, where it once ran out of memory.
+    with pytest.raises(CapacityError, match=r"at a\^100000 \(12352891 terms\)"):
+        tau_chain(ideal(["x^2 + y^3 + x*y"], p=101), Fraction(100000), 1)
 
 
 def test_tau_makes_no_fixed_point_past_e_max(monkeypatch):
@@ -1021,13 +1063,13 @@ def test_tau_makes_no_fixed_point_past_e_max(monkeypatch):
     # level is reached and K_0 = f^ceil(lam 3^12) = f^531439 must never be
     # formed; every power the chain takes is below 3^6, and a larger one fails
     # here before it is built.
-    times_power = frobenius._times_power
+    times = frobenius._PowerTable.times
 
-    def bounded(gens, M, J):
+    def bounded(self, J, M):
         assert M < 3**6, M
-        return times_power(gens, M, J)
+        return times(self, J, M)
 
-    monkeypatch.setattr(frobenius, "_times_power", bounded)
+    monkeypatch.setattr(frobenius._PowerTable, "times", bounded)
     f = ideal(["x^3 + x^2*y + y^4"], p=3)
     result = tau_chain(f, Fraction(1062877, 1062882), 6)
     assert result.ideal.equals(f)
@@ -1073,8 +1115,8 @@ def test_digit_root_from_a_start_ideal(seed):
     f = _rand_principal(rng, p)
     J = [_rand_principal(rng, p) for _ in range(rng.randint(1, 2))]
     N, e = rng.randint(0, 12), rng.randint(1, 2)
-    root, M = frobenius._digit_root(frobenius._PowerTable([f]), N, e, J)
-    fast = Ideal(frobenius._times_power([f], M, root), n=2, p=p)
+    powers = frobenius._PowerTable([f])
+    fast = powers.times(*frobenius._digit_root(powers, N, e, J))
     slow = frobenius_root(Ideal([f.pow(N) * g for g in J], n=2, p=p), prime_power(p, e))
     assert fast.equals(slow), (f, J, N, e)
 
