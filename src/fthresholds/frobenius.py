@@ -108,31 +108,26 @@ def frobenius_root(b: Ideal, q: PrimePower) -> Ideal:
 
 
 class _PowerTable:
-    """Spanning sets of a^t for a = (gens), k generators, each built on its
-    first read: the one maker and counter of powers of the generators.  A
-    table serves one call, then is dropped: _nu_root's probes or _nu_split,
-    whose factors f^a, a < p, are its chain, with a box, or test_ideal,
-    without one, whose lifts a^M (J) it forms (times).
+    """Spanning sets of a^t, t <= k(p-1), for a = (gens) with k generators,
+    each built on its first read, and the lifts a^M (J) (times): the one
+    maker and counter of powers of the generators.  A table serves one call,
+    with a box for _nu_root's probes and _nu_split's factors f^a, a < p (its
+    chain), without one for test_ideal, and is then dropped.
 
-    powers[t] is [f^t] for k = 1 and the echelonized products g^c with
-    |c| = t otherwise.  For k = 1, f^t comes from f.pow(t), the multinomial
-    theorem, so an entry that no probe reads is never built.  It comes from
-    the chain f^j = f^(j-1) f instead when f.multinomial_fits(t) refuses, as
-    for a dense f at a large p, or when the C(t + s - 1, t) compositions of
-    t into the s terms of f, the theorem's work, pass POWER_TABLE_CAP.  For
-    k >= 2 the powers g_i^j, j <= t, that the products read come from that
-    chain.  The products stream into the echelon, so only the table and the
-    basis being built are kept.  With a `box` the entries are kept modulo
-    m^[box], by GFPoly.truncate and GFPoly.mul_truncated, which alone decide
-    how a polynomial meets the box.  POWER_TABLE_CAP counts the terms of
-    every polynomial the table keeps or forms, lifts too, as each is added,
-    so it bounds the work of one call's powers; CapacityError names the
-    entry whose read passed the cap.
+    powers[t] is [f^t] for k = 1, from f.pow(t), the multinomial theorem,
+    unless f.multinomial_fits(t) refuses or f.power_terms_bound(t) passes
+    POWER_TABLE_CAP, else from the chain f^j = f^(j-1) f (gen_power); for
+    k >= 2, the echelonized products g^c, |c| = t, of the chains' powers.
+    With a `box` all are kept modulo m^[box] by GFPoly.truncate and
+    mul_truncated, which alone decide how a polynomial meets the box.
+    POWER_TABLE_CAP counts the terms of every entry, chain power and product
+    the table keeps, as each is added, and of the lift being formed until it
+    is returned; CapacityError names the entry whose read passed the cap.
+    The digit root's products of entries with J are streamed, not counted.
     """
 
     def __init__(self, gens: list[GFPoly], box: int | None = None):
-        self.gens = gens
-        self.box = box
+        self.gens, self.box = gens, box
         self.n, self.p = gens[0].n, gens[0].p
         one = GFPoly.one(self.n, self.p)
         self.spans = {0: [one]}
@@ -148,47 +143,45 @@ class _PowerTable:
             f = self.gens[0]
             if len(self.gens) > 1:
                 span = echelonize(self._products(0, t, t), self.n, self.p)
-            elif f.multinomial_fits(t) and math.comb(t + len(f.terms) - 1, t) <= POWER_TABLE_CAP:
+            elif f.multinomial_fits(t) and f.power_terms_bound(t) <= POWER_TABLE_CAP:
                 power = f.pow(t)
-                span = [self._count(power.truncate(self.box) if self.box else power, t)]
+                span = [power.truncate(self.box) if self.box else power]
+                self._count(len(span[0].terms), t)
             else:
-                span = [self._gen_power(0, t, t)]
+                span = [self.gen_power(0, t, t)]
             self.spans[t] = span
         return span
 
     def times(self, J: list[GFPoly], M: int) -> Ideal:
-        """The ideal a^M (J): the entry a^M times J, or f.pow(M) times J for
-        k = 1, refused before f^M is expanded when prod C(t + s - 1, t) over
-        M's base-p digits t, which bounds its terms, times J's would pass the cap."""
-        if M and len(self.gens) > 1:
-            J = echelonize((self._mul(h, g, M) for h in self[M] for g in J), self.n, self.p)
-        elif M:
-            f = self.gens[0]
-            bound, r = sum(len(g.terms) for g in J), M
-            while r:
-                r, t = divmod(r, self.p)
-                bound *= math.comb(t + len(f.terms) - 1, t)
-            self._check(self.terms + bound, M)
+        """a^M (J), counted on top of the entries until returned: for k = 1
+        f^M J, by its term bound before f^M is expanded, else M rounds of
+        products by the generators, each round alone."""
+        kept, f = self.terms, self.gens[0]
+        if M and len(self.gens) == 1:
+            self._count(f.power_terms_bound(M) * sum(len(g.terms) for g in J), M)
             fM = f.pow(M)
-            J = [self._mul(fM, g, M) for g in J]
+            J = [fM * g for g in J]
+        elif len(self.gens) > 1:
+            for _ in range(M):
+                self.terms = kept
+                J = echelonize((self._mul(h, g, M) for h in self.gens for g in J), self.n, self.p)
+        self.terms = kept
         return Ideal(J, n=self.n, p=self.p)
 
-    def _check(self, terms: int, t: int) -> None:
-        if terms > POWER_TABLE_CAP:
+    def _count(self, terms: int, t: int) -> None:
+        """Count terms against the cap as part of a^t."""
+        self.terms += terms
+        if self.terms > POWER_TABLE_CAP:
             raise CapacityError(f"power table cap of {POWER_TABLE_CAP} terms exceeded "
-                                f"at a^{t} ({terms} terms)")
-
-    def _count(self, poly: GFPoly, t: int) -> GFPoly:
-        """poly, its terms counted against the cap as part of a^t."""
-        self.terms += len(poly.terms)
-        self._check(self.terms, t)
-        return poly
+                                f"at a^{t} ({self.terms} terms)")
 
     def _mul(self, f: GFPoly, g: GFPoly, t: int) -> GFPoly:
         """f g, modulo m^[box] if any, counted against the cap as part of a^t."""
-        return self._count(f.mul_truncated(g, self.box) if self.box else f * g, t)
+        product = f.mul_truncated(g, self.box) if self.box else f * g
+        self._count(len(product.terms), t)
+        return product
 
-    def _gen_power(self, i: int, j: int, t: int) -> GFPoly:
+    def gen_power(self, i: int, j: int, t: int) -> GFPoly:
         powers = self.gen_powers[i]
         while len(powers) <= j:
             powers.append(self._mul(powers[-1], powers[1], t))
@@ -197,10 +190,10 @@ class _PowerTable:
     def _products(self, i: int, s: int, t: int) -> Iterator[GFPoly]:
         """Yield the products g_i^c_i ... g_k^c_k with c_i + ... + c_k = s."""
         if i == len(self.gens) - 1:
-            yield self._gen_power(i, s, t)
+            yield self.gen_power(i, s, t)
             return
         for j in range(s + 1):
-            gj = self._gen_power(i, j, t)
+            gj = self.gen_power(i, j, t)
             for h in self._products(i + 1, s - j, t):
                 yield h if j == 0 else gj if j == s else self._mul(gj, h, t)
 
@@ -501,7 +494,7 @@ def _nu_split(f: GFPoly, points: list[tuple], n: int, p: int, e: int) -> int:
     """
     qv = p**e
     powers = _PowerTable([f], qv)
-    small = [powers._gen_power(0, a, a) for a in range(p)]
+    small = [powers.gen_power(0, a, a) for a in range(p)]
     packing = _MonomialPacking(points)
     mdeg = packing.min_degree
     limit = n * (qv - 1)
@@ -575,11 +568,8 @@ def nu(a: Ideal, e: int) -> NuValue:
 
 def fpt_enclosure(a: Ideal, e: int) -> FptEnclosure:
     """[nu/q, (nu+k)/q] with k the generator count; contains the true threshold."""
-    nv = nu(a, e)
-    k = len(a.gens)
-    low = Fraction(nv.nu, nv.q.q)
-    high = Fraction(nv.nu + k, nv.q.q)
-    return FptEnclosure(low=low, high=high, q=nv.q, nu=nv.nu, ngens=k)
+    nv, k = nu(a, e), len(a.gens)
+    return FptEnclosure(Fraction(nv.nu, nv.q.q), Fraction(nv.nu + k, nv.q.q), nv.q, nv.nu, k)
 
 
 def _denominator_period(lam: Fraction, p: int, t_max: int) -> tuple[int, int | None]:

@@ -503,6 +503,17 @@ class GFPoly:
                 return True
         return False
 
+    def power_terms_bound(self, r: int) -> int:
+        """A bound on the terms of f^r, f nonzero with s terms: f^r is the
+        product of the lifts (f^t)^[p^d] over r's base-p digits t, each with
+        the terms of f^t, at most C(t + s - 1, t) and C(t deg f + n, n)."""
+        s, deg, n = len(self._terms), self.total_degree(), self.n
+        bound, rest = 1, r
+        while rest:
+            rest, t = divmod(rest, self.p)
+            bound *= min(math.comb(t + s - 1, t), math.comb(t * deg + n, n))
+        return bound
+
     def _multinomial_power(self, t: int) -> "GFPoly":
         """f^t for 0 < t < p by the multinomial theorem.
 

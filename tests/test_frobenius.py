@@ -470,7 +470,7 @@ def test_nu_root_matches_dp(seed):
 def test_power_root_matches_expansion(seed):
     """(a^N)^[1/q] by the digit root equals the root of the expanded power.
     Up to 4q, the digit root leaves a^M (J) with M >= 2 at p = 2 and 3, so the
-    table's lift reads an entry a^M of several generators."""
+    table's lift of several generators takes several rounds."""
     rng = random.Random(seed)
     a = _rand_root_ideal(rng)
     q = prime_power(a.p, rng.choice([1, 2]))
@@ -1019,8 +1019,8 @@ def test_power_table_capacity(monkeypatch):
 
 def test_power_table_cap_bounds_the_multinomial(monkeypatch):
     # lct(T) = 2/3, so level 1 reads f^66 first and nu(1) = 66.  Under a cap of
-    # 10^4 the multinomial theorem would visit C(69, 3) = 52394 compositions
-    # for it, so the entry comes from the chain, which passes the cap.
+    # 10^4 f^66 may have min(C(69, 3), C(266, 2)) = 35245 terms, so the entry
+    # comes from the chain, which passes the cap.
     a = ideal(["x^4 + y^3 + x*y^2 + 2*x^2*y"], p=101)
     assert nu(a, 1).nu == 66
     monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 10**4)
@@ -1052,10 +1052,35 @@ def test_tau_builds_one_power_table(monkeypatch, gens, p, lam, e_max, basis, e_u
 
 def test_tau_lift_is_refused_before_it_is_expanded():
     # f^100000 over F_101 has the digits 9, 81, 10, so up to C(11, 2) C(83, 2)
-    # C(12, 2) = 12352890 terms: the lift a^M (J) is refused before f^M is
-    # expanded, where it once ran out of memory.
+    # C(12, 2) = 12352890 terms, each below C(3t + 2, 2): the lift a^M (J) is
+    # refused before f^M is expanded, where it once ran out of memory.
     with pytest.raises(CapacityError, match=r"at a\^100000 \(12352891 terms\)"):
         tau_chain(ideal(["x^2 + y^3 + x*y"], p=101), Fraction(100000), 1)
+
+
+def test_tau_lift_bound_counts_the_monomials_of_each_digit():
+    # f^50 of seven terms has C(56, 6) = 32468436 compositions, past the cap,
+    # but at most C(152, 2) = 11476 terms, the monomials of degree <= 150; a
+    # five-term cubic's f^100 has C(104, 4) against C(302, 2).  Both lifts
+    # are formed, and tau(f^lam) = (f^lam) at an integer lam (Skoda).
+    for f, lam in (("x^2 + x*y + y^2 + x^3 + x^2*y + x*y^2 + y^3", 50),
+                   ("x^3 + y^3 + x^2*y + x*y^2 + x*y", 100)):
+        result = tau_chain(ideal([f], p=101), Fraction(lam), 1)
+        assert result.ideal.equals(Ideal([gf(f, 2, 101).pow(lam)], n=2, p=101)), f
+
+
+def test_tau_lift_counts_each_round_alone(monkeypatch):
+    # At p = 3 and lam = 4, e_max 1, the lift a^3 (J) of two generators takes
+    # three rounds of products by the generators on top of the table's 23
+    # terms: the largest round reaches 261 terms, all three 419, and neither
+    # the table nor the count keeps a round after it.
+    a = ideal(["x^2 + y^3", "x^3 + y^2"], p=3)
+    want = tau_chain(a, Fraction(4), 1).ideal
+    monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 260)
+    with pytest.raises(CapacityError, match=r"at a\^3 \(261 terms\)"):
+        tau_chain(a, Fraction(4), 1)
+    monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 261)
+    assert tau_chain(a, Fraction(4), 1).ideal.equals(want)
 
 
 def test_tau_makes_no_fixed_point_past_e_max(monkeypatch):

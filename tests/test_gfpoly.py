@@ -146,8 +146,8 @@ def dense_quartic(rng: random.Random, p: int) -> GFPoly:
 @settings(max_examples=120, deadline=None)
 def test_pow_matches_repeated_product(seed):
     """f.pow(r) equals the r-fold product by `*` (n <= 3, p <= 13, at most 5
-    terms, r <= 3p), and the guard picks the multinomial route exactly as
-    its definition says.  A quarter of the draws take the dense quartic of
+    terms, r <= 3p) and has at most f.power_terms_bound(r) terms, and the
+    guard picks the multinomial route exactly as its definition says.  A quarter of the draws take the dense quartic of
     one variable, which the guard refuses for the digits 10..12 at p = 11,
     13, so both digit-power routes and the lifts run."""
     rng = random.Random(seed)
@@ -164,6 +164,7 @@ def test_pow_matches_repeated_product(seed):
         product = product * f
     assert f.pow(r) == product
     if not f.is_zero:
+        assert len(product.terms) <= f.power_terms_bound(r)
         for t in range(1, p):
             assert f.multinomial_fits(t) == guard_oracle(f, t), t
 
