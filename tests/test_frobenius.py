@@ -1071,9 +1071,9 @@ def test_tau_lift_bound_counts_the_monomials_of_each_digit():
 
 def test_tau_lift_counts_each_round_alone(monkeypatch):
     # At p = 3 and lam = 4, e_max 1, the lift a^3 (J) of two generators takes
-    # three rounds of products by the generators on top of the table's 23
-    # terms: the largest round reaches 261 terms, all three 419, and neither
-    # the table nor the count keeps a round after it.
+    # three rounds of products by the generators, counted on top of the
+    # table's 23 terms: the largest round brings the count to 261, where all
+    # three together would bring it to 419.
     a = ideal(["x^2 + y^3", "x^3 + y^2"], p=3)
     want = tau_chain(a, Fraction(4), 1).ideal
     monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 260)

@@ -147,9 +147,10 @@ def dense_quartic(rng: random.Random, p: int) -> GFPoly:
 def test_pow_matches_repeated_product(seed):
     """f.pow(r) equals the r-fold product by `*` (n <= 3, p <= 13, at most 5
     terms, r <= 3p) and has at most f.power_terms_bound(r) terms, and the
-    guard picks the multinomial route exactly as its definition says.  A quarter of the draws take the dense quartic of
-    one variable, which the guard refuses for the digits 10..12 at p = 11,
-    13, so both digit-power routes and the lifts run."""
+    guard picks the multinomial route exactly as its definition says.  A
+    quarter of the draws take the dense quartic of one variable, which the
+    guard refuses for the digits 10..12 at p = 11, 13, so both digit-power
+    routes and the lifts run."""
     rng = random.Random(seed)
     p = rng.choice([2, 3, 5, 7, 11, 13])
     if rng.random() < 0.25:
