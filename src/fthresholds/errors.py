@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
-Exit-code mapping in the CLI: DomainError/ParseError are usage errors (1),
+Exit-code mapping in the CLI (cli.dispatch): every OSError, OverflowError and
+ValueError, DomainError and ParseError among them, is a usage error (1),
 CapacityError is a resource cap (2), InvariantViolation is a hard internal
 consistency failure (3).
 """

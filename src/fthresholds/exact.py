@@ -45,9 +45,13 @@ def parse_primes(text: str) -> list[int]:
 
     A range must end below PRIME_LIMIT; either form must give a prime."""
     text = text.strip()
+    parts = text.split("..", 1) if ".." in text else [s for s in text.split(",") if s.strip()]
+    try:
+        values = [int(s) for s in parts]
+    except ValueError:
+        raise DomainError(f"not a prime range a..b or list a,b,...: {text!r}") from None
     if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = values
         if hi >= PRIME_LIMIT:
             raise DomainError(f"prime range end {hi} out of range (must be < 2^31)")
         # Sieve of Eratosthenes, a byte per number of the range: strike the
@@ -59,7 +63,7 @@ def parse_primes(text: str) -> list[int]:
             sieve[first - start::d] = bytes(len(range(first, hi + 1, d)))
         primes = list(itertools.compress(range(start, hi + 1), sieve))
     else:
-        primes = [int(s) for s in text.split(",") if s.strip()]
+        primes = values
         for p in primes:
             if not is_prime(p):
                 raise DomainError(f"{p} is not prime")

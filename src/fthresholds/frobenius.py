@@ -31,12 +31,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import CapacityError, DomainError, InvariantViolation
 from .exact import PrimePower, prime_power
 from .gfpoly import (GFPoly, drl_key, echelonize, monomials_ascending, root_echelon,
-                     root_local_generators, truncated_powers)
+                     root_local_generators)
 from .groebner import Ideal, MonomialIdeal
 from .newton import NewtonPolytope, multiplier_ideal_monomial
 
@@ -109,10 +109,10 @@ def frobenius_root(b: Ideal, q: PrimePower) -> Ideal:
 
 class _PowerTable:
     """Spanning sets of a^t, t <= k(p-1), for a = (gens) with k generators,
-    each built on its first read, and the lifts a^M (J) (times): the one
-    maker and counter of powers of the generators.  A table serves one call,
-    with a box for _nu_root's probes and _nu_split's factors f^a, a < p (its
-    chain), without one for test_ideal, and is then dropped.
+    each built on its first read, the lifts a^M (J) (times) and, for k = 1,
+    the truncated powers (truncated_powers): the one maker and counter of
+    powers of the generators.  A table serves one call, with a box for
+    _nu_root and _nu_split, without one for test_ideal, and is then dropped.
 
     powers[t] is [f^t] for k = 1, from f.pow(t), the multinomial theorem,
     unless f.multinomial_fits(t) refuses or f.power_terms_bound(t) passes
@@ -121,9 +121,10 @@ class _PowerTable:
     With a `box` all are kept modulo m^[box] by GFPoly.truncate and
     mul_truncated, which alone decide how a polynomial meets the box.
     POWER_TABLE_CAP counts the terms of every entry, chain power and product
-    the table keeps, as each is added, and of the lift being formed until it
-    is returned; CapacityError names the entry whose read passed the cap.
-    The digit root's products of entries with J are streamed, not counted.
+    the table keeps, as each is added, of the lift being formed until it is
+    returned, and of each truncated_powers level's latest product;
+    CapacityError names the power whose making passed the cap.  The digit
+    root's products of entries with J are streamed, not counted.
     """
 
     def __init__(self, gens: list[GFPoly], box: int | None = None):
@@ -196,6 +197,68 @@ class _PowerTable:
             gj = self.gen_power(i, j, t)
             for h in self._products(i + 1, s - j, t):
                 yield h if j == 0 else gj if j == s else self._mul(gj, h, t)
+
+    def truncated_powers(self, e: int, cap: Callable[[int], int]) -> Iterator[GFPoly]:
+        """T_0, T_1, ... for a = (f) and the box q = p^e, e >= 1: T_k is f^k
+        with every term having some exponent >= q dropped, and, when p does
+        not divide k, every term of total degree > cap(k) too; f vanishes at
+        the origin, as nu() requires.
+
+        f^k lies outside m^[q] iff its truncation to the box is nonzero; that
+        holds for a prefix of k, and only for k < q since f^p = f^[p] lies in
+        m^[p].  The powers are built one level L = 1..e at a time by the
+        Frobenius split f^(a + p b) = f^a (f^b)^[p] with 0 <= a < p: T_(a + p b)
+        at level L is trunc_(p^L)(f^a * T_b^[p]) for T_b of level L - 1.  That
+        is exact: a term of (f^b)^[p] leaves the box p^L iff its term of f^b
+        leaves the box p^(L-1), and products only raise exponents.
+
+        The factors f^a, a < p, are the chain (gen_power), built first.  The
+        levels are chained generators (_split_level), each reading the level
+        below as it goes, so beside the factors a lifted power and a product
+        per level are alive.  The count holds the factors and each level's
+        latest product, which replaces its level's old count: POWER_TABLE_CAP
+        bounds what the levels hold at once, up to each level's truncated
+        factors and lifted power.  cap(k) is asked just before T_k, p not
+        dividing k, is built, so it may depend on what the caller read of
+        T_0..T_(k-1).  T_(p b) = T_b^[p] needs no product and is yielded
+        whole.  Level e yields at most K + p powers when T_K is the last
+        nonzero truncation.
+        """
+        chain = [self.gen_power(0, a, a) for a in range(self.p)]
+        level: Iterable[GFPoly] = chain[:1]
+        for L in range(1, e):
+            level = self._split_level(level, chain, L, None)
+        return self._split_level(level, chain, e, cap)
+
+    def _split_level(self, level: Iterable[GFPoly], chain: list[GFPoly], L: int,
+                     cap: Callable[[int], int] | None) -> Iterator[GFPoly]:
+        """T_0, T_1, ... in the box p^L from the T_b in the box p^(L-1), read
+        one at a time, and the chain's f^a, a < p.
+
+        Without cap the powers are exact and end at the first zero: f^k in
+        m^[p^L] puts every higher power there too.  With cap, each product T_k
+        also drops its terms of total degree > cap(k).  That removes whole
+        terms and changes no kept coefficient, so it is sound only for powers
+        that are read and never multiplied again: the last level.  A zero
+        product then proves nothing about the next, so the level runs through
+        every T_b given, and ends early only when some factor f^a itself
+        leaves the box.
+        """
+        p, bound, held = self.p, self.p**L, 0
+        factors = [fa.truncate(bound) for fa in chain[1:]]
+        for b, t in enumerate(level):
+            lifted = t.frobenius_power(p)  # already inside the box
+            yield lifted
+            for a, fa in enumerate(factors, start=1):
+                if fa.is_zero:
+                    return
+                prod = fa.mul_truncated(lifted, bound, None if cap is None else cap(a + p * b))
+                if cap is None and prod.is_zero:
+                    return
+                size = len(prod.terms)
+                self._count(size - held, a + p * b)
+                held = size
+                yield prod
 
 
 def _digits(N: int, e: int, top: int, p: int) -> tuple[list[int], int]:
@@ -484,17 +547,16 @@ def _nu_split(f: GFPoly, points: list[tuple], n: int, p: int, e: int) -> int:
     D_i.  For a full M that uses every coordinate, as m^d, the bound is nu_M
     itself (the closed form of _MonomialPacking): the first term of T_i read
     raises best to its bound, and D_i falls below that term's degree.
-    The same D_i, taken when T_i is built, caps its degree in truncated_powers:
+    The same D_i, taken when T_i is built, caps its degree in the levels:
     best only grows, so D_i only shrinks, and a term dropped then is past the
     scan's D_i later.  The last level's powers are multiplied by nothing, so
     dropping their terms of high degree cannot change nu.
 
-    The factors f^a, a < p, all kept at once, are the chain of one _PowerTable
-    with the box q, which counts each product against POWER_TABLE_CAP.
+    One _PowerTable with the box q builds the T_i and counts their factors
+    f^a, a < p, and each level's latest product against POWER_TABLE_CAP.
     """
     qv = p**e
     powers = _PowerTable([f], qv)
-    small = [powers.gen_power(0, a, a) for a in range(p)]
     packing = _MonomialPacking(points)
     mdeg = packing.min_degree
     limit = n * (qv - 1)
@@ -503,7 +565,7 @@ def _nu_split(f: GFPoly, points: list[tuple], n: int, p: int, e: int) -> int:
     def cap(i: int) -> int:
         return limit - mdeg * (best + 1 - i)
 
-    for i, t in enumerate(truncated_powers(small, e, cap)):
+    for i, t in enumerate(powers.truncated_powers(e, cap)):
         for c in monomials_ascending(t):
             if sum(c) > cap(i):
                 break
@@ -528,7 +590,7 @@ def nu(a: Ideal, e: int) -> NuValue:
         (_nu_split) for (f) + M, truncated powers of f against nu_M, which is
         read in closed form for a full M, else by a branch-and-bound;
         POWER_TABLE_CAP bounds the factors f^a, a < p, a _PowerTable's chain,
-        TERM_CAP each product of the chained levels, and NODE_CAP the search;
+        with each chained level's latest product, and NODE_CAP the search;
       * every other ideal: the digit root (_nu_root), over a table of a^t
         modulo m^[p^e], t <= k(p-1), whose entries are built on first read
         and whose terms are capped by POWER_TABLE_CAP.  Level 1 scans the

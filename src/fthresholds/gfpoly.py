@@ -43,13 +43,12 @@ import heapq
 import itertools
 import math
 from collections.abc import Mapping
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .exact import is_prime
 
 EXPONENT_LIMIT = 2**32
-TERM_CAP = 200_000
 
 Monomial = tuple  # tuple[int, ...], one entry per variable
 
@@ -846,72 +845,6 @@ def root_local_generators(polys: Iterable[GFPoly], n: int, p: int, box: int) -> 
     their order are those of the composition."""
     rows = _echelon(_root_rows(polys, n, p), p)
     return [GFPoly(n, p, t) for t in _local_rows(rows, n, p, box)]
-
-
-def truncated_powers(small: list[GFPoly], e: int, cap: Callable[[int], int]) -> Iterator[GFPoly]:
-    """T_0, T_1, ...: T_k is f^k with every term having some exponent >= p^e
-    dropped, and, when p does not divide k, every term of total degree
-    > cap(k) too.  small[a] is f^a, a < p, whole or truncated to the box,
-    built and counted by the caller.  f must vanish at the origin, e >= 1.
-
-    f^k lies outside m^[p^e] iff its truncation to the box is nonzero; that
-    holds for a prefix of k, and only for k < p^e since f^p = f^[p] lies in
-    m^[p].  The powers are built one level L = 1..e at a time by the Frobenius
-    split f^(a + p b) = f^a (f^b)^[p] with 0 <= a < p: T_(a + p b) at level L
-    is trunc_(p^L)(f^a * T_b^[p]) for T_b of level L - 1.  That is exact: a
-    term of (f^b)^[p] leaves the box p^L iff its term of f^b leaves the box
-    p^(L-1), and products only raise exponents.
-
-    The levels are chained, each a generator that reads the level below as
-    it goes: beside the factors in small, a lifted power and a product per
-    level are alive.  TERM_CAP bounds each product, not the memory: the p - 1
-    factors are bounded only by the caller's count.  A level below e is
-    exact, ends at its first zero and stops once the level above ends.
-    Level e's powers are leaves, multiplied by nothing, so dropping their
-    terms of high degree loses nothing else.  cap(k) is asked just before
-    T_k, p not dividing k, is built, so it may depend on what the caller
-    read of T_0..T_(k-1).  T_(p b) = T_b^[p] needs no product and is yielded
-    whole.  A power cut by degree may be zero while later ones are not, so
-    level e runs through the level below it: at most K + p powers when T_K
-    is the last nonzero truncation.
-    """
-    if not small[1].vanishes_at_origin():
-        raise DomainError("truncated powers need f to vanish at the origin")
-    p = len(small)
-    level: Iterable[GFPoly] = small[:1]
-    for L in range(1, e):
-        level = _split_level(level, small, p**L, None)
-    return _split_level(level, small, p**e, cap)
-
-
-def _split_level(level: Iterable[GFPoly], small: list[GFPoly], bound: int,
-                 cap: Callable[[int], int] | None) -> Iterator[GFPoly]:
-    """T_0, T_1, ... in the box `bound` from the T_b in the box bound / p,
-    read one at a time; small[a] is f^a, possibly truncated above `bound`.
-
-    Without cap the powers are exact and end at the first zero: f^k in
-    m^[bound] puts every higher power there too.  With cap, each product T_k
-    also drops its terms of total degree > cap(k).  That removes whole terms
-    and changes no kept coefficient, so it is sound only for powers that are
-    read and never multiplied again: the last level.  A zero product then
-    proves nothing about the next, so the level runs through every T_b given,
-    and ends early only when some factor f^a itself leaves the box.  Raises
-    CapacityError when a product has more than TERM_CAP terms.
-    """
-    p = len(small)
-    factors = [s.truncate(bound) for s in small[1:]]
-    for b, t in enumerate(level):
-        lifted = t.frobenius_power(p)  # already inside the box
-        yield lifted
-        for a, fa in enumerate(factors, start=1):
-            if fa.is_zero:
-                return
-            prod = fa.mul_truncated(lifted, bound, None if cap is None else cap(a + p * b))
-            if cap is None and prod.is_zero:
-                return
-            if len(prod._terms) > TERM_CAP:
-                raise CapacityError(f"term cap of {TERM_CAP} exceeded in a truncated power")
-            yield prod
 
 
 def monomials_ascending(f: GFPoly) -> Iterator[Monomial]:

@@ -1,5 +1,6 @@
 """Rational and prime-power primitives."""
 
+import re
 import time
 from fractions import Fraction
 
@@ -121,6 +122,13 @@ def test_parse_primes_rejects_a_list_without_primes():
     # As an empty range is refused, so is a comma list that names no prime.
     for text in (",", " , ,", ""):
         with pytest.raises(DomainError, match="no primes in"):
+            parse_primes(text)
+
+
+def test_parse_primes_names_text_that_is_not_a_number():
+    # int() said only "invalid literal for int() with base 10: ''".
+    for text in ("5..", "..7", "5..7..9", "x,7", "5.5"):
+        with pytest.raises(DomainError, match=f"not a prime range .*: '{re.escape(text)}'$"):
             parse_primes(text)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fthresholds import frobenius, gfpoly
+from fthresholds import frobenius
 from fthresholds.errors import CapacityError, DomainError
 from fthresholds.exact import prime_power
 from fthresholds.frobenius import (
@@ -23,7 +23,7 @@ from fthresholds.frobenius import (
     nu,
 )
 from fthresholds.frobenius import test_ideal as tau_chain
-from fthresholds.gfpoly import GFPoly, echelonize, truncated_powers
+from fthresholds.gfpoly import GFPoly, echelonize
 from fthresholds.groebner import Ideal, MonomialIdeal
 from fthresholds.newton import NewtonPolytope, lct_monomial
 from fthresholds.parsing import parse_gfpoly
@@ -760,10 +760,7 @@ def test_truncated_powers_match_repeated_products(seed):
         t = t.mul_truncated(f, qv)
     # A cap no term of the box exceeds keeps the chain whole; the last level
     # runs to the end of the level below it, so zeros may follow the chain.
-    small = [GFPoly.one(n, p)]  # the factors trunc_q(f^a), a < p
-    for _ in range(p - 1):
-        small.append(small[-1].mul_truncated(f, qv))
-    got = list(truncated_powers(small, e, lambda k: n * (qv - 1)))
+    got = list(frobenius._PowerTable([f], qv).truncated_powers(e, lambda k: n * (qv - 1)))
     assert got[:len(chain)] == chain
     assert len(got) < len(chain) + p
     assert all(t.is_zero for t in got[len(chain):])
@@ -776,7 +773,7 @@ def test_truncated_powers_match_repeated_products(seed):
         caps[k] = rng.randint(-1, n * (qv - 1))
         return caps[k]
 
-    got = list(truncated_powers(small, e, cap))
+    got = list(frobenius._PowerTable([f], qv).truncated_powers(e, cap))
     assert len(got) < len(chain) + p
     for k, t in enumerate(got):
         want = chain[k] if k < len(chain) else GFPoly.zero(n, p)
@@ -809,21 +806,32 @@ def test_nu_split_builds_one_power_table(monkeypatch):
 def test_nu_split_counts_its_factors_against_the_table_cap(monkeypatch):
     # The factors trunc_q(f^a), a < p, are all kept at once.  At 31 they hold
     # 1148 terms together with the unit, f itself not counted, the largest
-    # 113; at 1009 they passed 60M while each stayed under TERM_CAP.
+    # 113; at 1009 they passed 60M while each product stayed under 200,000
+    # terms.  The level's latest product adds at most 77 more.
     a = ideal(["x^4 + y^3 + x*y^2 + 2*x^2*y", "x^5"], p=31)
     monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 1147)
     with pytest.raises(CapacityError, match=r"power table cap .* at a\^20 \(1148 terms\)"):
         nu(a, 1)
-    monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 1148)
+    monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 1225)
     assert nu(a, 1).nu == 20
+
+
+def test_nu_split_counts_each_level_product_against_the_table_cap(monkeypatch):
+    # The factors fit under 1224, but not with T_8, the largest of the level's
+    # products (77 terms).  Each product replaces its level's old count, so
+    # 1225 answers (previous test), though the 20 products hold 429 terms.
+    a = ideal(["x^4 + y^3 + x*y^2 + 2*x^2*y", "x^5"], p=31)
+    monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 1224)
+    with pytest.raises(CapacityError, match=r"power table cap .* at a\^8 \(1225 terms\)"):
+        nu(a, 1)
 
 
 def test_nu_split_capacity(monkeypatch):
     m5 = truncate_ideal(cusp(7), 5)
-    # At 7^2 every power is built at the last level, where the degree cap
-    # leaves fewer than 3 terms; at 7^3 the uncapped level below exceeds 3.
-    monkeypatch.setattr(gfpoly, "TERM_CAP", 3)
-    with pytest.raises(CapacityError, match="term cap"):
+    # The factors f^a, a < 7, hold 26 terms with the unit; at 7^3 the count
+    # with each level's latest product reaches 49 at T_146 of the last level.
+    monkeypatch.setattr(frobenius, "POWER_TABLE_CAP", 48)
+    with pytest.raises(CapacityError, match=r"power table cap .* at a\^146 \(49 terms\)"):
         nu(m5, 3)
     monkeypatch.undo()
     monkeypatch.setattr(frobenius, "NODE_CAP", 100)
