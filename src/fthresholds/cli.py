@@ -3,7 +3,7 @@
 The paper's two headline experiments:
 
     fthresh sweep --gens "x^2 + y^3" -n 2 --primes 5..47 --qmax 100000 \
-        --target 5/6 --out results/sweep.json
+        --target 5/6 > results/sweep.json
     fthresh truncation --gens "x^2 + y^3" -n 2 --primes 7,13 --qmax 10000
 
 The first encloses fpt of the cusp's reductions against its lct 5/6; the
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .errors import CapacityError, DomainError, InvariantViolation
 from .exact import format_rational, parse_primes, parse_rational, prime_power
@@ -34,14 +33,8 @@ from .groebner import MonomialIdeal
 from .newton import INFINITY, jumping_candidates, lct_monomial, multiplier_ideal_monomial
 from .parsing import parse_ideal, parse_int_poly, split_generators
 from .reduction import IntegerIdeal, corpus
-from .experiment import (
-    SweepIssue,
-    convergence_report,
-    report_to_csv,
-    report_to_json,
-    sweep,
-    truncation_table,
-)
+from .experiment import (SweepIssue, convergence_report, report_to_csv, report_to_json,
+                         sweep, truncation_table, truncation_to_json)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -135,78 +128,51 @@ def _cmd_jumps(args) -> int:
     return EXIT_OK
 
 
-def _warn_skipped(issues: list[SweepIssue]) -> bool:
-    """Print one warning per skipped prime; whether any hit a capacity cap."""
+def _run_experiment(args, run, report) -> int:
+    """Write the report of one of the paper's experiments to stdout.
+
+    run(ideal, primes, q_max, issues=...) gives the records, and
+    report(records) their text with the message of a broken invariant, if
+    any.  Exit 2 when capped primes left no record, 3 on a broken invariant,
+    else 2 if any prime was capped."""
+    ideal = IntegerIdeal.from_strings(_split_gens(args.gens), args.n)
+    if not ideal.vanishes_at_origin():
+        raise DomainError(f"{args.command} generators must vanish at the origin")
+    primes = parse_primes(args.primes)
+    issues: list[SweepIssue] = []
+    records = run(ideal, primes, args.qmax, issues=issues)
     for issue in issues:
         print(f"warning: p={issue.p} skipped ({issue.kind}): {issue.message}",
               file=sys.stderr)
-    return any(issue.kind == "capacity" for issue in issues)
+    capped = any(issue.kind == "capacity" for issue in issues)
+    if capped and not records:
+        return EXIT_CAPACITY
+    text, violation = report(records)
+    sys.stdout.write(text)
+    if violation:
+        print(violation, file=sys.stderr)
+        return EXIT_INVARIANT
+    return EXIT_CAPACITY if capped else EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    ideal = IntegerIdeal.from_strings(_split_gens(args.gens), args.n)
-    if not ideal.vanishes_at_origin():
-        raise DomainError("sweep generators must vanish at the origin")
-    primes = parse_primes(args.primes)
     target = parse_rational(args.target) if args.target else None
-    if args.out:
-        # Refuse a path that cannot be written before the sweep, not after.
-        out = Path(args.out)
-        if out.is_dir():
-            raise IsADirectoryError(f"Is a directory: {args.out!r}")
-        if not out.parent.is_dir():
-            raise FileNotFoundError(f"No such file or directory: {str(out.parent)!r}")
-    issues: list[SweepIssue] = []
-    records = sweep(ideal, primes, args.qmax, issues=issues)
-    capped = _warn_skipped(issues)
-    if capped and not records:
-        return EXIT_CAPACITY
-    report = convergence_report(records, target)
-    text = (report_to_csv if args.format == "csv" else report_to_json)(report)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.format} report to {args.out} "
-              f"({len(report.records)} records)")
-    else:
-        sys.stdout.write(text)
-    hard_failure = not report.monotone_ok or report.below_lct_ok is False
-    if hard_failure:
-        print("invariant violation in sweep report", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_CAPACITY if capped else EXIT_OK
+
+    def report(records):
+        rep = convergence_report(records, target)
+        broken = not rep.monotone_ok or rep.below_lct_ok is False
+        return ((report_to_csv if args.format == "csv" else report_to_json)(rep),
+                "invariant violation in sweep report" if broken else None)
+
+    return _run_experiment(args, sweep, report)
 
 
 def _cmd_truncation(args) -> int:
-    ideal = IntegerIdeal.from_strings(_split_gens(args.gens), args.n)
-    primes = parse_primes(args.primes)
-    issues: list[SweepIssue] = []
-    records = truncation_table(ideal, primes, args.qmax, args.dmin, args.dmax, issues)
-    capped = _warn_skipped(issues)
-    if not records:
-        if capped:
-            return EXIT_CAPACITY
-        raise DomainError("empty table: no prime gave a row")
-    all_ok = all(r.ok for r in records)
-    payload = {
-        "records": [{
-            "p": r.p,
-            "e": r.e,
-            "d": r.d,
-            "base_low": format_rational(r.base.low),
-            "base_high": format_rational(r.base.high),
-            "trunc_low": format_rational(r.trunc.low),
-            "trunc_high": format_rational(r.trunc.high),
-            "gap": format_rational(r.gap),
-            "bound": format_rational(r.bound),
-            "ok": r.ok,
-        } for r in records],
-        "all_ok": all_ok,
-    }
-    print(json.dumps(payload))
-    if not all_ok:
-        print("invariant violation: a truncation gap exceeds n/d", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_CAPACITY if capped else EXIT_OK
+    return _run_experiment(
+        args, lambda ideal, primes, q_max, issues: truncation_table(
+            ideal, primes, q_max, args.dmin, args.dmax, issues),
+        lambda records: (truncation_to_json(records), None if all(r.ok for r in records)
+                         else "invariant violation: a truncation gap exceeds n/d"))
 
 
 def _cmd_corpus(args) -> int:
@@ -287,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="fpt enclosures across primes")
     add_experiment_flags(p_sweep)
     p_sweep.add_argument("--target", default=None, help='known lct "n/d" (optional)')
-    p_sweep.add_argument("--out", default=None, help="write what stdout would print here")
     p_sweep.add_argument("--format", choices=["csv", "json"], default="json")
     p_sweep.set_defaults(func=_cmd_sweep)
 

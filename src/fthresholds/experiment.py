@@ -1,5 +1,6 @@
-"""The paper's two experiments: prime sweeps of fpt enclosures with exact
-convergence reports, and the table of how a -> a + m^d moves the enclosure.
+"""The paper's two experiments and the bytes of both their reports: prime
+sweeps of fpt enclosures with exact convergence reports, and the table of how
+a -> a + m^d moves the enclosure (truncation_to_json).
 
 For each prime the sweep uses the largest exponent e with p^e <= q_max,
 computes the enclosure of the reduced ideal, and emits records sorted by
@@ -203,6 +204,19 @@ def report_to_json(report: ConvergenceReport) -> str:
         obj["below_lct_ok"] = report.below_lct_ok
         obj["max_gap"] = format_rational(report.max_gap)
     return json.dumps(obj) + "\n"
+
+
+def truncation_to_json(records: list[TruncationRecord]) -> str:
+    """Canonical JSON of a truncation table, with all_ok over its rows."""
+    if not records:
+        raise DomainError("empty table: no prime gave a row")
+    rows = [{"p": r.p, "e": r.e, "d": r.d,
+             "base_low": format_rational(r.base.low), "base_high": format_rational(r.base.high),
+             "trunc_low": format_rational(r.trunc.low),
+             "trunc_high": format_rational(r.trunc.high),
+             "gap": format_rational(r.gap), "bound": format_rational(r.bound), "ok": r.ok}
+            for r in records]
+    return json.dumps({"records": rows, "all_ok": all(r.ok for r in records)}) + "\n"
 
 
 def report_to_csv(report: ConvergenceReport) -> str:

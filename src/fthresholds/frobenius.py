@@ -147,7 +147,7 @@ class _PowerTable:
             elif f.multinomial_fits(t) and f.power_terms_bound(t) <= POWER_TABLE_CAP:
                 power = f.pow(t)
                 span = [power.truncate(self.box) if self.box else power]
-                self._count(len(span[0].terms), t)
+                self._count(len(span[0]), t)
             else:
                 span = [self.gen_power(0, t, t)]
             self.spans[t] = span
@@ -159,7 +159,7 @@ class _PowerTable:
         products by the generators, each round alone."""
         kept, f = self.terms, self.gens[0]
         if M and len(self.gens) == 1:
-            self._count(f.power_terms_bound(M) * sum(len(g.terms) for g in J), M)
+            self._count(f.power_terms_bound(M) * sum(len(g) for g in J), M)
             fM = f.pow(M)
             J = [fM * g for g in J]
         elif len(self.gens) > 1:
@@ -179,7 +179,7 @@ class _PowerTable:
     def _mul(self, f: GFPoly, g: GFPoly, t: int) -> GFPoly:
         """f g, modulo m^[box] if any, counted against the cap as part of a^t."""
         product = f.mul_truncated(g, self.box) if self.box else f * g
-        self._count(len(product.terms), t)
+        self._count(len(product), t)
         return product
 
     def gen_power(self, i: int, j: int, t: int) -> GFPoly:
@@ -255,7 +255,7 @@ class _PowerTable:
                 prod = fa.mul_truncated(lifted, bound, None if cap is None else cap(a + p * b))
                 if cap is None and prod.is_zero:
                     return
-                size = len(prod.terms)
+                size = len(prod)
                 self._count(size - held, a + p * b)
                 held = size
                 yield prod

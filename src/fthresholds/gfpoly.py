@@ -175,7 +175,7 @@ class _TermView(Mapping):
         self._poly = poly
 
     def __len__(self) -> int:
-        return len(self._poly._terms)
+        return len(self._poly)
 
     def __iter__(self) -> Iterator[Monomial]:
         n = self._poly.n
@@ -265,6 +265,9 @@ class GFPoly:
     def terms(self) -> Mapping:
         """The terms as a read-only mapping from exponent tuples to coefficients."""
         return _TermView(self)
+
+    def __len__(self) -> int:
+        return len(self._terms)
 
     @property
     def is_zero(self) -> bool:

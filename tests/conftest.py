@@ -10,8 +10,9 @@ each (order_lp) instead of read off the facet normals, a nu probe keeps
 the full echelon of every level's root (escapes_oracle), a root step's local
 generators come from an echelon over exponent tuples with no one-term
 shortcut (root_local_reference), nu_M(b) of a monomial ideal is a search
-over every generator that fits (packing_oracle), and the fpt of a diagonal
-hypersurface is read from base-p digits (diagonal_fpt).
+over every generator that fits (packing_oracle), the fpt of a diagonal
+hypersurface is read from base-p digits (diagonal_fpt), and that of a smooth
+plane cubic from its Hasse invariant (cubic_fpt).
 
 Hypothesis runs under a derandomized profile: each test draws the same
 examples on every run (seeded from the test itself), so the suite's time and
@@ -215,6 +216,18 @@ def diagonal_fpt(exps: Sequence[int], p: int) -> Fraction:
         cut += sum(digits) * scale
         xs = tuple(x * p - d for x, d in zip(xs, digits))
     return sum(Fraction(1, a) for a in exps)
+
+
+def cubic_fpt(f: GFPoly, p: int) -> Fraction:
+    """fpt of a smooth plane cubic f in x, y, z over F_p from its Hasse
+    invariant (Bhatt-Singh, "The F-pure threshold of a Calabi-Yau
+    hypersurface", Math. Ann. 2015): 1 when the coefficient of (xyz)^(p-1)
+    in f^(p-1) is nonzero (ordinary), else 1 - 1/p (supersingular).  The
+    theorem asks p to be large against the degree; callers check each value
+    against the proved enclosures, so a prime it does not cover would show."""
+    if f.pow(p - 1).terms.get((p - 1,) * 3, 0):
+        return Fraction(1)
+    return 1 - Fraction(1, p)
 
 
 def buchberger_all_pairs(gens: list[GFPoly]) -> tuple[GFPoly, ...]:

@@ -4,7 +4,6 @@ import json
 import subprocess
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -117,33 +116,40 @@ def test_no_floating_point_in_output(capsys):
         assert "." not in out
 
 
-def test_sweep_command(tmp_path: Path, capsys):
-    out_path = tmp_path / "report.json"
-    code, out = run(capsys, "sweep", "--gens", "x^2+y^3", "-n", "2",
-                    "--primes", "5..11", "--qmax", "1000", "--target", "5/6",
-                    "--out", str(out_path))
+def test_sweep_command(capsys):
+    # The report's bytes on stdout, JSON and CSV; only elapsed_ms may vary.
+    argv = ["sweep", "--gens", "x^2+y^3", "-n", "2", "--primes", "5..11", "--qmax", "1000",
+            "--target", "5/6"]
+    code, out = run(capsys, *argv)
     assert code == EXIT_OK
-    payload = json.loads(out_path.read_text())
-    assert payload["below_lct_ok"] is True
-    assert [r["p"] for r in payload["records"]] == [5, 7, 11]
+    assert out == (
+        '{"target_lct": "5/6", "records": ['
+        '{"p": 5, "e": 4, "nu": 499, "low": "499/625", "high": "4/5", "gap": "131/3750"}, '
+        '{"p": 7, "e": 3, "nu": 285, "low": "285/343", "high": "286/343", "gap": "5/2058"}, '
+        '{"p": 11, "e": 2, "nu": 98, "low": "98/121", "high": "9/11", "gap": "17/726"}], '
+        '"monotone_ok": true, "below_lct_ok": true, "max_gap": "131/3750"}\n')
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK and out.endswith("\n")
+    assert [line.rsplit(",", 1)[0] for line in out.splitlines()] == [
+        "p,e,nu,low,high", "5,4,499,499/625,4/5", "7,3,285,285/343,286/343",
+        "11,2,98,98/121,9/11"]
+    assert all(line.rsplit(",", 1)[1].isdigit() for line in out.splitlines()[1:])
 
 
-def test_sweep_out_that_cannot_be_written_is_a_usage_error(tmp_path: Path, capsys,
-                                                            monkeypatch):
-    # A missing directory or a directory in place of the file: "error: ...",
-    # exit 1, and no traceback, before the sweep runs.
+@pytest.mark.parametrize("command", ["sweep", "truncation"])
+def test_experiment_generators_must_vanish_at_the_origin(command, monkeypatch, capsys):
+    # Refused before any prime is run, also where the prime divides the
+    # constant term and the reduction would vanish at the origin.
     def unreachable(*args, **kwargs):
-        raise AssertionError("the sweep ran before --out was checked")
+        raise AssertionError("a prime ran before the origin check")
 
     monkeypatch.setattr(cli, "sweep", unreachable)
-    for target, reason in ((tmp_path / "missing" / "report.json", "No such file"),
-                           (tmp_path, "Is a directory")):
-        code = dispatch(["sweep", "--gens", "x^2+y^3", "-n", "2", "--primes", "5",
-                         "--qmax", "30", "--out", str(target)])
+    monkeypatch.setattr(cli, "truncation_table", unreachable)
+    for gens in ("x + 1", "x^2 + y^3 + 5"):
+        code = dispatch([command, "--gens", gens, "-n", "2", "--primes", "5", "--qmax", "125"])
         captured = capsys.readouterr()
-        assert code == EXIT_USAGE and captured.out == ""
-        assert captured.err.startswith("error: ") and reason in captured.err
-        assert "Traceback" not in captured.err
+        assert code == EXIT_USAGE and captured.out == "", gens
+        assert captured.err == f"error: {command} generators must vanish at the origin\n", gens
 
 
 def test_a_program_fault_is_not_a_usage_error(monkeypatch):
@@ -157,22 +163,20 @@ def test_a_program_fault_is_not_a_usage_error(monkeypatch):
         dispatch(["lct", "--gens", "x^2,y^3", "-n", "2"])
 
 
-def test_sweep_stdout_and_csv(tmp_path: Path, capsys):
+def test_sweep_stdout_and_csv(capsys):
     code, out = run(capsys, "sweep", "--gens", "x,y", "-n", "2",
                     "--primes", "3,5", "--qmax", "100")
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["monotone_ok"] is True
 
-    csv_path = tmp_path / "r.csv"
-    code, _ = run(capsys, "sweep", "--gens", "x,y", "-n", "2", "--primes", "3,5",
-                  "--qmax", "100", "--format", "csv", "--out", str(csv_path))
+    code, out = run(capsys, "sweep", "--gens", "x,y", "-n", "2", "--primes", "3,5",
+                    "--qmax", "100", "--format", "csv")
     assert code == EXIT_OK
-    assert csv_path.read_text().startswith("p,e,nu,low,high,elapsed_ms\n")
+    assert out.startswith("p,e,nu,low,high,elapsed_ms\n")
 
 
 def test_sweep_csv_to_stdout(capsys):
-    # Without --out the chosen format goes to stdout.
     code, out = run(capsys, "sweep", "--gens", "x^2+y^3", "-n", "2", "--primes", "5,7",
                     "--qmax", "100", "--format", "csv")
     assert code == EXIT_OK

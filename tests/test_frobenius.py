@@ -30,6 +30,7 @@ from fthresholds.parsing import parse_gfpoly
 from fthresholds.reduction import truncate_ideal
 
 from conftest import (
+    cubic_fpt,
     cusp_nu_oracle,
     diagonal_fpt,
     eager_powers,
@@ -963,6 +964,33 @@ def test_diagonal_curves_match_the_closed_form():
                     e += 1
         counts[n] = rows, points
     assert counts == {2: (672, 90), 3: (1792, 245)}
+
+
+def test_hesse_pencil_matches_the_hasse_invariant():
+    """x^3 + y^3 + z^3 + t xyz for every t with t^3 != -27 (mod p), the smooth
+    members, at every q = p^e <= 2500 with p in {5, 7, 11, 13}: the fpt read
+    from the Hasse invariant (cubic_fpt) lies in [nu/(q - 1), (nu + 1)/q] and
+    in the enclosure, and every point that fpt_point returns equals it."""
+    rows = points = 0
+    for p in (5, 7, 11, 13):
+        for t in range(p):
+            if (t**3 + 27) % p == 0:
+                continue
+            I = ideal([f"x^3 + y^3 + z^3 + {t}*x*y*z"], n=3, p=p)
+            fpt = cubic_fpt(I.gens[0], p)
+            e = 1
+            while p**e <= 2500:
+                enc = fpt_enclosure(I, e)
+                q = p**e
+                assert Fraction(enc.nu, q - 1) <= fpt <= Fraction(enc.nu + 1, q), (t, p, e)
+                assert enc.low <= fpt <= enc.high, (t, p, e)
+                found = fpt_point(I, enc)
+                if found is not None:
+                    assert found == fpt, (t, p, e)
+                    points += 1
+                rows += 1
+                e += 1
+    assert (rows, points) == (92, 72)
 
 
 @given(st.integers(0, 10**6))
